@@ -1,9 +1,12 @@
 """Synthetic-data substrate reproducing the paper's Section 7.1 pipeline.
 
 The paper generates covariance matrices "in reverse": choose eigenvalues,
-draw a random orthonormal eigenbasis via Gram-Schmidt, form ``C = Q
-diag(lambda) Q^T``, then sample multivariate-normal records from ``C``
-(Matlab's ``mvnrnd``; here :class:`repro.stats.mvn.MultivariateNormal`).
+draw a random orthonormal eigenbasis, form ``C = Q diag(lambda) Q^T``,
+then sample multivariate-normal records from ``C`` (Matlab's ``mvnrnd``;
+here :class:`repro.stats.mvn.MultivariateNormal`).  The paper draws the
+basis by Gram-Schmidt; here it is the Q factor of a Householder QR of a
+Gaussian matrix with R's diagonal made positive, which is the matrix
+Gram-Schmidt yields from the same draw.
 """
 
 from repro.data.copula import GaussianCopulaGenerator

@@ -2,10 +2,13 @@
 
 The paper controls data correlations by *choosing* the eigenvalues,
 drawing an orthonormal eigenbasis with Gram-Schmidt, and assembling
-``C = Q diag(lambda) Q^T``.  :class:`CovarianceModel` packages the triple
-``(lambda, Q, C)`` so experiments can reuse the same eigenvectors when
-designing correlated noise (Section 8.2 fixes the noise eigenvectors to
-the data's and only varies the noise eigenvalues).
+``C = Q diag(lambda) Q^T``.  The basis is drawn as the Q factor of a
+Householder QR of a Gaussian matrix with R's diagonal made positive,
+which is the matrix Gram-Schmidt yields from the same draw.
+:class:`CovarianceModel` packages the triple ``(lambda, Q, C)`` so
+experiments can reuse the same eigenvectors when designing correlated
+noise (Section 8.2 fixes the noise eigenvectors to the data's and only
+varies the noise eigenvalues).
 """
 
 from __future__ import annotations
@@ -72,9 +75,13 @@ class CovarianceModel:
     # ------------------------------------------------------------------
     @classmethod
     def from_spectrum(cls, spectrum, rng=None) -> "CovarianceModel":
-        """Build from eigenvalues with a random Gram-Schmidt eigenbasis.
+        """Build from eigenvalues with a random orthonormal eigenbasis.
 
         This is the paper's generation procedure (Section 7.1, steps 1-3).
+        The basis is the Q factor of a Householder QR of a Gaussian matrix
+        with R's diagonal made positive — the matrix Gram-Schmidt yields
+        from the same draw (:func:`~repro.linalg.gram_schmidt.gram_schmidt`
+        is the reference).
         """
         values = np.sort(check_vector(spectrum, "spectrum"))[::-1]
         basis = random_orthogonal(values.size, rng)

@@ -16,6 +16,7 @@ from repro.data.covariance_builder import CovarianceModel
 from repro.exceptions import ValidationError
 from repro.registry import check_spec, register_dataset
 from repro.stats.mvn import MultivariateNormal
+from repro.telemetry import trace
 from repro.utils.rng import as_generator
 from repro.utils.serialization import values_equal
 from repro.utils.validation import check_positive_int, check_vector
@@ -90,8 +91,15 @@ def generate_dataset(
     """Draw an original data table from a covariance model.
 
     Either pass a prebuilt ``covariance_model`` or a raw ``spectrum``
-    (eigenvalues), in which case a random Gram-Schmidt eigenbasis is drawn
-    first — exactly the paper's generation pipeline.
+    (eigenvalues), in which case a random orthonormal eigenbasis is drawn
+    first — exactly the paper's generation pipeline.  The basis is the Q
+    factor of a Householder QR of a Gaussian matrix with R's diagonal made
+    positive, which is the matrix Gram-Schmidt yields from the same draw
+    (see :func:`repro.linalg.gram_schmidt.random_orthogonal`).
+
+    Under tracing the call is a ``data.generate`` span with ``data.basis``
+    (eigenbasis draw, when a ``spectrum`` is given) and ``data.sample``
+    (the multivariate-normal draw) children.
 
     Parameters
     ----------
@@ -119,19 +127,27 @@ def generate_dataset(
         raise ValidationError(
             "exactly one of 'covariance_model' and 'spectrum' must be given"
         )
-    if covariance_model is None:
-        covariance_model = CovarianceModel.from_spectrum(spectrum, generator)
-    if mean is None:
-        mean_vector = np.zeros(covariance_model.dim)
-    else:
-        mean_vector = check_vector(mean, "mean")
-        if mean_vector.size != covariance_model.dim:
-            raise ValidationError(
-                f"mean has length {mean_vector.size}, expected "
-                f"{covariance_model.dim}"
-            )
-    distribution = MultivariateNormal(mean_vector, covariance_model.matrix)
-    values = distribution.sample(n, generator)
+    with trace.span("data.generate", n=n) as span:
+        if covariance_model is None:
+            with trace.span("data.basis"):
+                covariance_model = CovarianceModel.from_spectrum(
+                    spectrum, generator
+                )
+        span.set(m=covariance_model.dim)
+        if mean is None:
+            mean_vector = np.zeros(covariance_model.dim)
+        else:
+            mean_vector = check_vector(mean, "mean")
+            if mean_vector.size != covariance_model.dim:
+                raise ValidationError(
+                    f"mean has length {mean_vector.size}, expected "
+                    f"{covariance_model.dim}"
+                )
+        distribution = MultivariateNormal(
+            mean_vector, covariance_model.matrix
+        )
+        with trace.span("data.sample", n=n):
+            values = distribution.sample(n, generator)
     return SyntheticDataset(
         values=values,
         covariance_model=covariance_model,

@@ -2,8 +2,11 @@
 
 The paper's synthetic-data methodology (Section 7.1) builds covariance
 matrices "in reverse": pick eigenvalues, build a random orthonormal basis
-with Gram-Schmidt, and form ``C = Q diag(lambda) Q^T``.  This subpackage
-provides that machinery plus the eigendecomposition, PSD-repair, and
+with Gram-Schmidt, and form ``C = Q diag(lambda) Q^T``.  The basis is the
+Q factor of a Householder QR of a Gaussian matrix with R's diagonal made
+positive, which is the matrix Gram-Schmidt yields from the same draw;
+:func:`gram_schmidt` stays as the reference.  This subpackage provides
+that machinery plus the eigendecomposition, PSD-repair, and
 covariance-estimation helpers the attacks rely on.
 """
 

@@ -2,10 +2,13 @@
 
 Section 7.1 of the paper generates covariance matrices by drawing a random
 orthogonal matrix via "Gram-Schmidt orthonormalization process" and
-combining it with a chosen eigenvalue spectrum.  We implement the
-numerically stable *modified* Gram-Schmidt with re-orthogonalization, and
-a Haar-ish random orthogonal matrix built by orthonormalizing a Gaussian
-matrix (equivalent to a QR-based draw with sign correction).
+combining it with a chosen eigenvalue spectrum.  :func:`gram_schmidt` is
+that process: the numerically stable *modified* Gram-Schmidt with
+re-orthogonalization, kept as the reference implementation.
+:func:`random_orthogonal` draws the basis as the Q factor of a Householder
+QR of a Gaussian matrix with R's diagonal made positive.  QR with a
+positive diagonal is unique, so this is the matrix Gram-Schmidt yields
+from the same draw (up to rounding), and the draw is Haar-distributed.
 """
 
 from __future__ import annotations
@@ -87,10 +90,12 @@ def is_orthonormal(matrix, *, atol: float = 1e-8) -> bool:
 def random_orthogonal(dim: int, rng=None) -> np.ndarray:
     """Draw a random ``dim x dim`` orthogonal matrix.
 
-    A standard-normal matrix is orthonormalized with Gram-Schmidt — the
-    construction the paper describes.  Column signs are then fixed so the
-    distribution does not favour a sign pattern (the classic QR
-    sign-correction), making the draw Haar-distributed.
+    A standard-normal matrix ``G`` is factored by a Householder QR and
+    each column of ``Q`` is multiplied by the sign of ``R``'s diagonal,
+    so ``Q.T @ G`` has a positive diagonal.  That ``Q`` is unique: it is
+    the matrix :func:`gram_schmidt` returns for ``G`` (the paper's
+    construction), computed in one LAPACK call, and it is
+    Haar-distributed.
 
     Parameters
     ----------
@@ -101,17 +106,10 @@ def random_orthogonal(dim: int, rng=None) -> np.ndarray:
     """
     dim = check_positive_int(dim, "dim")
     generator = as_generator(rng)
-    while True:
-        gaussian = generator.standard_normal((dim, dim))
-        try:
-            q = gram_schmidt(gaussian)
-        except ValidationError:
-            # A singular Gaussian draw has probability zero but guard anyway.
-            continue
-        break
-    # Sign correction: make the diagonal of R (= Q^T G) positive.
-    signs = np.sign(np.einsum("ij,ij->j", q, gaussian))
-    # np.sign returns exactly 0.0 for a zero projection; this replaces
+    gaussian = generator.standard_normal((dim, dim))
+    q, r = np.linalg.qr(gaussian)
+    signs = np.sign(np.diag(r))
+    # np.sign returns exactly 0.0 for a zero diagonal entry; this replaces
     # that exact sentinel, not an approximate value.
     signs[signs == 0.0] = 1.0  # repro: ignore[float-eq] exact sign sentinel
     return q * signs

@@ -86,6 +86,32 @@ class TestTracedEngineRuns:
         assert {"pipeline.run", "pipeline.randomize", "pipeline.attack",
                 "pipeline.metrics"} <= names
 
+    def test_figure_job_traces_data_generation(self):
+        spec = JobSpec(
+            task="repro.experiments.tasks:two_level_trial",
+            params={
+                "spectrum": [50.0, 20.0, 5.0, 1.0],
+                "n_records": 80,
+                "noise_std": 2.0,
+            },
+            seed_root=13,
+            seed_path=(0, 0),
+        )
+        recorder = Recorder()
+        with trace.recording(recorder):
+            Engine(executor=SerialExecutor()).run([spec])
+        document = recorder.to_document()
+        validate_trace(document)
+        [job] = _engine_jobs(document)
+        [generate] = [
+            child for child in job["children"]
+            if child["name"] == "data.generate"
+        ]
+        assert generate["attrs"] == {"n": 80, "m": 4}
+        assert [child["name"] for child in generate["children"]] == [
+            "data.basis", "data.sample",
+        ]
+
     def test_kernel_hooks_emit_spans(self):
         import numpy as np
 
@@ -107,6 +133,7 @@ class TestTracedEngineRuns:
         assert by_name["em.fit"].attrs["iterations"] >= 1
 
     def test_kernel_results_identical_with_tracing_on(self):
+        # KDE, EM and data generation: tracing must not touch the numbers.
         import numpy as np
 
         from repro.stats.em import UnivariateGaussianMixtureEM
@@ -129,6 +156,16 @@ class TestTracedEngineRuns:
         np.testing.assert_array_equal(traced_pdf, plain_pdf)
         np.testing.assert_array_equal(traced_fit.means, plain_fit.means)
         np.testing.assert_array_equal(traced_fit.weights, plain_fit.weights)
+
+        from repro.data.synthetic import generate_dataset
+
+        spectrum = [50.0, 20.0, 5.0, 1.0]
+        plain_data = generate_dataset(spectrum=spectrum, n_records=80, rng=4)
+        with trace.recording(Recorder()):
+            traced_data = generate_dataset(
+                spectrum=spectrum, n_records=80, rng=4
+            )
+        assert traced_data == plain_data
 
     def test_parallel_worker_fragments_merge_into_parent(self):
         results, document = _traced_run(ParallelExecutor(workers=2))

@@ -102,3 +102,20 @@ class TestRandomOrthogonal:
         for seed in range(200):
             total += random_orthogonal(4, rng=seed)
         assert np.abs(total / 200).max() < 0.15
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 60, 100])
+    def test_matches_gram_schmidt_of_the_same_draw(self, dim):
+        # QR with a positive R diagonal is unique, so the LAPACK draw is
+        # the reference Gram-Schmidt basis of the same Gaussian matrix.
+        gaussian = np.random.default_rng(11).standard_normal((dim, dim))
+        q = random_orthogonal(dim, rng=11)
+        assert np.abs(q - gram_schmidt(gaussian)).max() < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 60, 100])
+    def test_r_diagonal_is_positive(self, dim):
+        # Pins the sign fix: LAPACK's R has a mixed-sign diagonal, and
+        # without the fix the columns it flips make the draw neither
+        # Haar nor equal to Gram-Schmidt.
+        gaussian = np.random.default_rng(11).standard_normal((dim, dim))
+        q = random_orthogonal(dim, rng=11)
+        assert np.all(np.diag(q.T @ gaussian) > 0.0)
