@@ -332,6 +332,50 @@ def _pca_large():
 
 
 # ----------------------------------------------------------------------
+# The figure attack battery on one dataset (shared statistics)
+# ----------------------------------------------------------------------
+def _battery_setup(n: int, m: int, seed: int):
+    from repro.randomization.base import DisguisedDataset
+    from repro.reconstruction import (
+        BayesEstimateReconstructor,
+        PCAReconstructor,
+        SpectralFilteringReconstructor,
+        UnivariateReconstructor,
+    )
+
+    original, disguised, model = _correlated_table(
+        n, m, max(m // 10, 2), seed
+    )
+    noise = disguised - original
+    battery = (
+        UnivariateReconstructor(prior="gaussian"),
+        SpectralFilteringReconstructor(),
+        PCAReconstructor(),
+        BayesEstimateReconstructor(),
+    )
+
+    def run():
+        # A fresh dataset per run: its statistics are computed once and
+        # shared by the four attacks, as in a figure job.
+        dataset = DisguisedDataset(
+            disguised=disguised, noise_model=model, original=original, noise=noise
+        )
+        return [attack.reconstruct(dataset) for attack in battery]
+
+    return run
+
+
+@register_benchmark(
+    "hotpath.attack_battery.smoke",
+    group="hotpath",
+    tags=("smoke",),
+    params={"n_records": 2_000, "m": 100},
+)
+def _battery_smoke():
+    return _battery_setup(2_000, 100, seed=808)
+
+
+# ----------------------------------------------------------------------
 # Ledoit-Wolf shrinkage covariance (ablation A3's estimator option)
 # ----------------------------------------------------------------------
 def _lw_setup(n: int, m: int, seed: int):

@@ -7,7 +7,9 @@ Q factor of a Householder QR of a Gaussian matrix with R's diagonal made
 positive, which is the matrix Gram-Schmidt yields from the same draw;
 :func:`gram_schmidt` stays as the reference.  This subpackage provides
 that machinery plus the eigendecomposition, PSD-repair, and
-covariance-estimation helpers the attacks rely on.
+covariance-estimation helpers the attacks rely on, and
+:class:`DisguisedStatistics`, which computes those a dataset's attacks
+share once per dataset.
 """
 
 from repro.linalg.covariance import (
@@ -30,6 +32,7 @@ from repro.linalg.psd import (
     nearest_psd,
     psd_inverse,
 )
+from repro.linalg.statistics import DisguisedStatistics
 
 __all__ = [
     "correlation_from_covariance",
@@ -48,4 +51,5 @@ __all__ = [
     "is_positive_semidefinite",
     "nearest_psd",
     "psd_inverse",
+    "DisguisedStatistics",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.linalg.eigen import sorted_eigh
 from repro.linalg.psd import nearest_psd
 from repro.utils.validation import check_matrix, check_symmetric, check_vector
 
@@ -115,7 +116,9 @@ def covariance_from_disguised(
     ensure_psd: bool = True,
     ddof: int = 1,
     estimator: str = "sample",
-) -> np.ndarray:
+    covariance_y=None,
+    return_decomposition: bool = False,
+):
     """Estimate ``Cov(X)`` from disguised data (Theorems 5.1 / 8.2).
 
     Computes the sample covariance of the disguised data and subtracts the
@@ -140,27 +143,39 @@ def covariance_from_disguised(
         ``"sample"`` (the paper's estimator) or ``"ledoit-wolf"``
         (shrinkage toward the scaled identity; better conditioned at
         small ``n``, see :func:`ledoit_wolf_covariance`).
+    covariance_y:
+        ``Cov(Y)`` already computed from ``disguised`` by ``estimator``
+        (e.g. shared by :class:`~repro.linalg.statistics.DisguisedStatistics`);
+        skips estimating it again.
+    return_decomposition:
+        Also return the :func:`~repro.linalg.eigen.sorted_eigh`
+        decomposition of the estimate, reusing the PSD repair's.
 
     Returns
     -------
-    numpy.ndarray
-        Estimated original covariance, shape ``(m, m)``.
+    numpy.ndarray or (numpy.ndarray, EigenDecomposition)
+        Estimated original covariance, shape ``(m, m)``, paired with its
+        decomposition when ``return_decomposition`` is set.
     """
-    matrix = check_matrix(disguised, "disguised")
-    m = matrix.shape[1]
-    if estimator == "sample":
-        cov_y = sample_covariance(matrix, ddof=ddof)
-    elif estimator == "ledoit-wolf":
-        cov_y, _ = ledoit_wolf_covariance(matrix)
-    else:
+    if estimator not in ("sample", "ledoit-wolf"):
         raise ValidationError(
             "estimator must be 'sample' or 'ledoit-wolf', got "
             f"{estimator!r}"
         )
-    cov_r = _coerce_noise_covariance(noise_covariance, m)
+    if covariance_y is not None:
+        cov_y = covariance_y
+    else:
+        matrix = check_matrix(disguised, "disguised")
+        if estimator == "sample":
+            cov_y = sample_covariance(matrix, ddof=ddof)
+        else:
+            cov_y, _ = ledoit_wolf_covariance(matrix)
+    cov_r = _coerce_noise_covariance(noise_covariance, cov_y.shape[0])
     estimate = cov_y - cov_r
     if ensure_psd:
-        estimate = nearest_psd(estimate)
+        return nearest_psd(estimate, return_decomposition=return_decomposition)
+    if return_decomposition:
+        return estimate, sorted_eigh(estimate)
     return estimate
 
 

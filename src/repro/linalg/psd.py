@@ -22,7 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import NotPositiveDefiniteError
-from repro.linalg.eigen import condition_number, sorted_eigh
+from repro.linalg.eigen import (
+    EigenDecomposition,
+    condition_number,
+    sorted_eigh,
+)
 from repro.telemetry import trace
 from repro.telemetry.convergence import NULL_TRACKER
 from repro.utils.validation import check_in_range, check_symmetric
@@ -47,7 +51,9 @@ def is_positive_semidefinite(matrix, *, tol: float = 1e-10) -> bool:
     return bool(values.min() >= -tol * scale)
 
 
-def nearest_psd(matrix, *, floor: float = 0.0) -> np.ndarray:
+def nearest_psd(
+    matrix, *, floor: float = 0.0, return_decomposition: bool = False
+):
     """Project a symmetric matrix onto the PSD cone by spectral clipping.
 
     Eigenvalues below ``floor`` are raised to ``floor``; eigenvectors are
@@ -61,22 +67,38 @@ def nearest_psd(matrix, *, floor: float = 0.0) -> np.ndarray:
         Symmetric matrix, e.g. a Theorem-5.1 covariance estimate.
     floor:
         Minimum allowed eigenvalue; must be ``>= 0``.
+    return_decomposition:
+        Also return the :func:`sorted_eigh` decomposition of the result.
+        When nothing is clipped that is the decomposition the projection
+        already computed; a repaired matrix is decomposed afresh.
+
+    Returns
+    -------
+    numpy.ndarray or (numpy.ndarray, EigenDecomposition)
+        The projected matrix, paired with its decomposition when
+        ``return_decomposition`` is set.
     """
     check_in_range(floor, "floor", low=0.0)
     decomposition = sorted_eigh(matrix)
     clipped = np.clip(decomposition.values, floor, None)
     if np.array_equal(clipped, decomposition.values):
         # Already PSD with the requested floor: return the symmetrized input.
-        return check_symmetric(matrix, "matrix")
-    if trace.enabled():
-        trace.count("linalg.nearest_psd.repairs")
-        trace.gauge(
-            "linalg.nearest_psd.condition",
-            condition_number(decomposition.values),
-        )
-    vectors = decomposition.vectors
-    repaired = (vectors * clipped) @ vectors.T
-    return (repaired + repaired.T) / 2.0
+        result = check_symmetric(matrix, "matrix")
+    else:
+        if trace.enabled():
+            trace.count("linalg.nearest_psd.repairs")
+            trace.gauge(
+                "linalg.nearest_psd.condition",
+                condition_number(decomposition.values),
+            )
+        vectors = decomposition.vectors
+        repaired = (vectors * clipped) @ vectors.T
+        result = (repaired + repaired.T) / 2.0
+        if return_decomposition:
+            decomposition = sorted_eigh(result)
+    if return_decomposition:
+        return result, decomposition
+    return result
 
 
 def cholesky_with_jitter(
@@ -157,9 +179,15 @@ def psd_inverse(matrix, *, floor: float = 1e-10) -> np.ndarray:
     Theorem-5.1 diagonal subtraction) produce a bounded inverse instead of
     exploding.  For well-conditioned input this equals ``inv(matrix)`` to
     machine precision.
+
+    ``matrix`` may also be the matrix's :class:`EigenDecomposition` (from
+    :func:`sorted_eigh`), which skips the eigendecomposition.
     """
     check_in_range(floor, "floor", low=0.0, inclusive_low=False)
-    decomposition = sorted_eigh(matrix)
+    if isinstance(matrix, EigenDecomposition):
+        decomposition = matrix
+    else:
+        decomposition = sorted_eigh(matrix)
     top = float(decomposition.values[0])
     if top <= 0.0:
         raise NotPositiveDefiniteError(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.linalg.statistics import DisguisedStatistics
 from repro.utils.serialization import values_equal
 from repro.utils.validation import check_matrix
 
@@ -115,6 +116,10 @@ class DisguisedDataset:
         The private table ``X`` (held for evaluation only).
     noise:
         The realized perturbation ``R`` (evaluation only).
+
+    The attacks' shared inputs (``Cov(Y)``, the Theorem 5.1 estimate,
+    ...) live in :attr:`statistics`, filled on first use; they are not
+    part of equality or of the pickled state.
     """
 
     disguised: np.ndarray
@@ -149,6 +154,20 @@ class DisguisedDataset:
             and values_equal(self.original, other.original)
             and values_equal(self.noise, other.noise)
         )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_statistics", None)
+        return state
+
+    @property
+    def statistics(self) -> DisguisedStatistics:
+        """Statistics of the public view, shared by every attack on it."""
+        statistics = self.__dict__.get("_statistics")
+        if statistics is None:
+            statistics = DisguisedStatistics(self.disguised, self.noise_model)
+            object.__setattr__(self, "_statistics", statistics)
+        return statistics
 
     @property
     def n_records(self) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import DisguisedDataset, NoiseModel
 from repro.utils.serialization import values_equal
 from repro.utils.validation import check_matrix
@@ -87,6 +88,10 @@ class Reconstructor(abc.ABC):
     public :meth:`reconstruct` method accepts either a
     :class:`DisguisedDataset` (convenient in experiments) or an explicit
     ``(disguised, noise_model)`` pair (what a real adversary holds).
+    Either way the attack also gets the view's
+    :class:`~repro.linalg.statistics.DisguisedStatistics`: the dataset's
+    own, shared by every attack run on it, or a fresh one for a raw
+    matrix.
     """
 
     #: Short display name, overridden by subclasses.
@@ -128,6 +133,7 @@ class Reconstructor(abc.ABC):
                 )
             matrix = disguised.disguised
             model = disguised.noise_model
+            statistics = disguised.statistics
         else:
             if noise_model is None:
                 raise ValidationError(
@@ -135,18 +141,27 @@ class Reconstructor(abc.ABC):
                 )
             matrix = check_matrix(disguised, "disguised")
             model = noise_model
-        if matrix.shape[1] != model.dim:
-            raise ValidationError(
-                f"data has {matrix.shape[1]} attributes but the noise model "
-                f"covers {model.dim}"
-            )
-        return self._reconstruct(matrix, model)
+            if matrix.shape[1] != model.dim:
+                raise ValidationError(
+                    f"data has {matrix.shape[1]} attributes but the noise "
+                    f"model covers {model.dim}"
+                )
+            statistics = DisguisedStatistics(matrix, model)
+        return self._reconstruct(matrix, model, statistics)
 
     @abc.abstractmethod
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
-        """Attack implementation on the validated public view."""
+        """Attack implementation on the validated public view.
+
+        ``statistics`` holds the shared derived quantities of
+        ``(disguised, noise_model)``; attacks that need ``Cov(Y)``, the
+        Theorem 5.1 estimate or ``Sigma_r^-1`` read them from it.
+        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -16,7 +16,9 @@ attacks both the baseline and the improved randomization scheme.
 
 The adversary inputs are all public: ``Sigma_x`` comes from Theorem 5.1 /
 8.2 (disguised covariance minus noise covariance) and ``mu_x ~= mu_y``
-because the noise is zero-mean (Section 6.1, step 2).
+because the noise is zero-mean (Section 6.1, step 2).  Both, with
+``Sigma_x``'s eigenvectors and ``Sigma_r^-1``, are read from the
+dataset's shared :class:`~repro.linalg.statistics.DisguisedStatistics`.
 
 BE-DR uses *all* directions — principal and non-principal — weighted by
 their signal-to-noise ratio, which is why it dominates PCA-DR everywhere
@@ -28,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.linalg.covariance import covariance_from_disguised
 from repro.linalg.psd import psd_inverse
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.registry import check_spec, register_attack
@@ -120,7 +122,10 @@ class BayesEstimateReconstructor(Reconstructor):
         )
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         m = disguised.shape[1]
 
@@ -131,12 +136,12 @@ class BayesEstimateReconstructor(Reconstructor):
                     f"-dimensional, data has {m} attributes"
                 )
             sigma_x = self._oracle_covariance
+            precision_x = psd_inverse(sigma_x)
         else:
-            sigma_x = covariance_from_disguised(
-                disguised,
-                noise_model.covariance,
-                estimator=self._covariance_estimator,
+            sigma_x, decomposition = statistics.estimate(
+                self._covariance_estimator
             )
+            precision_x = psd_inverse(decomposition)
 
         if self._oracle_mean is not None:
             if self._oracle_mean.size != m:
@@ -148,10 +153,9 @@ class BayesEstimateReconstructor(Reconstructor):
         else:
             # mu_x ~= mu_y - mu_r: noise means are public (zero in the
             # paper's schemes, but subtracting costs nothing).
-            mu_x = disguised.mean(axis=0) - noise_model.mean
+            mu_x = statistics.column_means - noise_model.mean
 
-        precision_x = psd_inverse(sigma_x)
-        precision_r = psd_inverse(noise_model.covariance)
+        precision_r = statistics.noise_precision
 
         # Posterior precision A = Sigma_x^-1 + Sigma_r^-1 (Theorem 8.1);
         # for iid noise this is Eq. (11)'s Sigma_x^-1 + I/sigma^2.

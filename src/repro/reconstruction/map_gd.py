@@ -17,6 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.reconstruction.udr import noise_marginal_density
@@ -122,7 +123,10 @@ class MAPGradientReconstructor(Reconstructor):
         )
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         n, m = disguised.shape
         if len(self._priors) != m:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.registry import check_spec, register_attack
@@ -39,7 +40,10 @@ class NoiseDistributionReconstructor(Reconstructor):
         return cls()
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         estimate = disguised - noise_model.mean
         expected_mse = float(np.mean(np.diag(noise_model.covariance)))

@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.linalg.covariance import covariance_from_disguised
 from repro.linalg.psd import nearest_psd, psd_inverse
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.registry import check_spec, register_attack
@@ -111,7 +111,10 @@ class ConditionalDisclosureReconstructor(Reconstructor):
         )
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         n, m = disguised.shape
         known = self._known_indices
@@ -136,10 +139,8 @@ class ConditionalDisclosureReconstructor(Reconstructor):
         if self._oracle_covariance is not None:
             sigma_x = np.asarray(self._oracle_covariance, dtype=np.float64)
         else:
-            sigma_x = covariance_from_disguised(
-                disguised, noise_model.covariance
-            )
-        mu_x = disguised.mean(axis=0) - noise_model.mean
+            sigma_x, _ = statistics.estimate()
+        mu_x = statistics.column_means - noise_model.mean
         data_model = MultivariateNormal(mu_x, nearest_psd(sigma_x))
 
         # --- Step 1: condition the data prior on the leaked attributes.

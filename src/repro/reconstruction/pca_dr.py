@@ -6,6 +6,9 @@ Procedure (Section 5.2.2):
    Theorem 5.1 (subtract the noise covariance; for i.i.d. noise that is
    ``sigma^2`` off the diagonal).
 2. Eigendecompose ``C = Q Lambda Q^T`` with eigenvalues descending.
+   Steps 1-2 are read from the dataset's shared
+   :class:`~repro.linalg.statistics.DisguisedStatistics`, which BE-DR
+   uses too.
 3. Choose the number of principal components ``p`` (largest-gap rule by
    default, per the paper's footnote).
 4. Reconstruct ``X_hat = Y Q_p Q_p^T`` on column-centered data, adding
@@ -24,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.linalg.covariance import covariance_from_disguised
 from repro.linalg.eigen import sorted_eigh
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.reconstruction.selection import (
@@ -128,7 +131,10 @@ class PCAReconstructor(Reconstructor):
         )
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         m = disguised.shape[1]
         if self._oracle_covariance is not None:
@@ -137,20 +143,15 @@ class PCAReconstructor(Reconstructor):
                     f"oracle covariance is {self._oracle_covariance.shape[0]}"
                     f"-dimensional, data has {m} attributes"
                 )
-            covariance = self._oracle_covariance
+            decomposition = sorted_eigh(self._oracle_covariance)
         else:
-            covariance = covariance_from_disguised(
-                disguised,
-                noise_model.covariance,
-                estimator=self._covariance_estimator,
-            )
-        decomposition = sorted_eigh(covariance)
+            _, decomposition = statistics.estimate(self._covariance_estimator)
         n_components = self._selector.select(decomposition.values)
         projector = decomposition.projector(n_components)
 
-        column_means = disguised.mean(axis=0)
-        centered = disguised - column_means
-        estimate = centered @ projector + column_means
+        column_means = statistics.column_means
+        estimate = (disguised - column_means) @ projector
+        estimate += column_means
 
         return ReconstructionResult(
             estimate=estimate,

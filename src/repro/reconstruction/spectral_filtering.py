@@ -5,7 +5,8 @@ the disguised data onto a signal subspace, but it separates signal from
 noise using random-matrix theory instead of the corrected eigen-spectrum:
 
 1. Eigendecompose the sample covariance of the *disguised* data (no
-   Theorem-5.1 correction).
+   Theorem-5.1 correction), shared with the other attacks through
+   :class:`~repro.linalg.statistics.DisguisedStatistics`.
 2. Random-matrix theory (Marchenko-Pastur) bounds the eigenvalues a pure
    i.i.d.-noise covariance can produce from ``n`` samples in ``m``
    dimensions: ``lambda in sigma^2 * (1 +- sqrt(m/n))^2``.
@@ -26,8 +27,7 @@ import math
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.linalg.covariance import sample_covariance
-from repro.linalg.eigen import sorted_eigh
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.registry import check_spec, register_attack
@@ -104,7 +104,10 @@ class SpectralFilteringReconstructor(Reconstructor):
         return cls(tolerance=float(spec.get("tolerance", 0.05)))
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         n, m = disguised.shape
         if n < 2:
@@ -117,8 +120,7 @@ class SpectralFilteringReconstructor(Reconstructor):
         lower, upper = marchenko_pastur_bounds(variance, n, m)
         threshold = upper * (1.0 + self._tolerance)
 
-        covariance_y = sample_covariance(disguised)
-        decomposition = sorted_eigh(covariance_y)
+        decomposition = statistics.covariance_eigen
         n_signal = int(np.sum(decomposition.values > threshold))
         # An empty signal subspace would return the all-means table; keep
         # the strongest direction instead, matching SF implementations
@@ -126,8 +128,9 @@ class SpectralFilteringReconstructor(Reconstructor):
         n_signal = max(n_signal, 1)
         projector = decomposition.projector(n_signal)
 
-        column_means = disguised.mean(axis=0)
-        estimate = (disguised - column_means) @ projector + column_means
+        column_means = statistics.column_means
+        estimate = (disguised - column_means) @ projector
+        estimate += column_means
 
         return ReconstructionResult(
             estimate=estimate,

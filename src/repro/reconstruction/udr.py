@@ -36,6 +36,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.randomization.distribution_recon import reconstruct_distribution
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
@@ -66,6 +67,38 @@ def noise_marginal_density(noise_model: NoiseModel, attribute: int) -> Density:
         halfwidth = std * math.sqrt(3.0)
         return UniformDensity(mean - halfwidth, mean + halfwidth)
     return GaussianDensity(mean, std)
+
+
+def _noise_marginal_moments(
+    noise_model: NoiseModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of :func:`noise_marginal_density` per attribute.
+
+    The same scalar arithmetic as building each density and reading its
+    ``mean`` / ``variance``, so the values are bit-identical, without
+    constructing ``m`` density objects.  (Python's ``x ** 2`` and
+    numpy's differ in the last bit, hence the scalar loop.)
+    """
+    variances = np.diag(noise_model.covariance)
+    bad = np.flatnonzero(variances <= 0.0)
+    if bad.size:
+        raise ValidationError(
+            f"attribute {int(bad[0])} has non-positive noise variance"
+        )
+    uniform = noise_model.family == "uniform"
+    means = []
+    moments = []
+    for mean, variance in zip(noise_model.mean.tolist(), variances.tolist()):
+        std = math.sqrt(variance)
+        if uniform:
+            halfwidth = std * math.sqrt(3.0)
+            low, high = mean - halfwidth, mean + halfwidth
+            means.append((low + high) / 2.0)
+            moments.append((high - low) ** 2 / 12.0)
+        else:
+            means.append(mean)
+            moments.append(std**2)
+    return np.array(means), np.array(moments)
 
 
 @register_attack("udr")
@@ -145,7 +178,10 @@ class UnivariateReconstructor(Reconstructor):
         )
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         n, m = disguised.shape
         if self._prior_mode == "explicit" and len(self._prior_densities) != m:
@@ -153,16 +189,14 @@ class UnivariateReconstructor(Reconstructor):
                 f"got {len(self._prior_densities)} explicit priors for "
                 f"{m} attributes"
             )
-        estimate = np.empty_like(disguised)
         details: dict = {"prior_mode": self._prior_mode}
-        for j in range(m):
-            column = disguised[:, j]
-            noise = noise_marginal_density(noise_model, j)
-            if self._prior_mode == "gaussian":
-                estimate[:, j] = self._gaussian_posterior_mean(
-                    column, noise, noise_model.family
-                )
-            else:
+        if self._prior_mode == "gaussian":
+            estimate = self._gaussian_posterior_mean(disguised, noise_model)
+        else:
+            estimate = np.empty_like(disguised)
+            for j in range(m):
+                column = disguised[:, j]
+                noise = noise_marginal_density(noise_model, j)
                 prior = self._prior_for(column, noise, j)
                 estimate[:, j] = self._grid_posterior_mean(
                     column, prior, noise
@@ -181,27 +215,37 @@ class UnivariateReconstructor(Reconstructor):
 
     @staticmethod
     def _gaussian_posterior_mean(
-        column: np.ndarray, noise: Density, family: str
+        disguised: np.ndarray, noise_model: NoiseModel
     ) -> np.ndarray:
-        """Moment-matched Gaussian-prior posterior mean.
+        """Moment-matched Gaussian-prior posterior mean, all columns at once.
 
         Exact for Gaussian noise; for uniform noise the same linear
         shrinkage is the best *linear* estimator (it matches the first
         two moments), which is the standard benchmark behaviour.
+
+        The column moments come from a contiguous transposed copy: each
+        row of it reduces in the same order as the column alone, so
+        every value equals the per-column computation bit for bit.
         """
-        mean_y = float(column.mean())
-        var_y = float(column.var())
-        noise_var = noise.variance
-        prior_var = max(var_y - noise_var, 0.0)
-        prior_mean = mean_y - noise.mean
-        # Exact guard: prior_var is max(..., 0.0), so 0.0 is a computed
-        # sentinel, not an approximate quantity.
-        if prior_var == 0.0:  # repro: ignore[float-eq] degenerate guard
-            # The attribute is pure noise as far as moments can tell:
-            # every posterior mean collapses to the prior mean.
-            return np.full_like(column, prior_mean)
+        noise_mean, noise_var = _noise_marginal_moments(noise_model)
+        columns = np.ascontiguousarray(disguised.T)
+        prior_var = np.maximum(columns.var(axis=1) - noise_var, 0.0)
+        prior_mean = columns.mean(axis=1) - noise_mean
         shrinkage = prior_var / (prior_var + noise_var)
-        return prior_mean + shrinkage * (column - noise.mean - prior_mean)
+        # prior_mean + shrinkage * (y - noise_mean - prior_mean), in place
+        # on one (n, m) buffer.
+        estimate = disguised - noise_mean
+        estimate -= prior_mean
+        estimate *= shrinkage
+        estimate += prior_mean
+        # Exact guard: prior_var is max(..., 0.0), so 0.0 is a computed
+        # sentinel, not an approximate quantity.  Such an attribute is
+        # pure noise as far as moments can tell: every posterior mean
+        # collapses to the prior mean.
+        degenerate = prior_var == 0.0  # repro: ignore[float-eq] degenerate guard
+        if np.any(degenerate):
+            estimate[:, degenerate] = prior_mean[degenerate]
+        return estimate
 
     def _grid_posterior_mean(
         self, column: np.ndarray, prior: Density, noise: Density

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.linalg.psd import nearest_psd, psd_inverse
+from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.registry import check_spec, register_attack
@@ -86,7 +87,10 @@ class WienerSmootherReconstructor(Reconstructor):
         )
 
     def _reconstruct(
-        self, disguised: np.ndarray, noise_model: NoiseModel
+        self,
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         n, m = disguised.shape
         if n <= self._window:

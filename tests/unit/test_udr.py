@@ -89,6 +89,76 @@ class TestGaussianPrior:
         assert spread < 0.5  # nearly constant
 
 
+
+def _per_column_reference(disguised, noise_model):
+    """The per-attribute loop the vectorized Gaussian-prior path replaced."""
+    estimate = np.empty_like(disguised)
+    for j in range(disguised.shape[1]):
+        column = disguised[:, j]
+        noise = noise_marginal_density(noise_model, j)
+        mean_y = float(column.mean())
+        var_y = float(column.var())
+        prior_var = max(var_y - noise.variance, 0.0)
+        prior_mean = mean_y - noise.mean
+        if prior_var == 0.0:  # repro: ignore[float-eq] degenerate guard
+            estimate[:, j] = prior_mean
+            continue
+        shrinkage = prior_var / (prior_var + noise.variance)
+        estimate[:, j] = prior_mean + shrinkage * (column - noise.mean - prior_mean)
+    return estimate
+
+
+class TestVectorizedGaussianPrior:
+    """The all-columns Gaussian-prior path equals the per-column loop bit for bit."""
+
+    @staticmethod
+    def _table(n, m, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, m)) * rng.uniform(0.5, 4.0, m) + rng.normal(
+            0.0, 3.0, m
+        )
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("n", [257, 10_000])
+    def test_matches_per_column_reference(self, family, n):
+        from repro.randomization.base import NoiseModel
+
+        m = 9
+        rng = np.random.default_rng(n)
+        # Heterogeneous diagonal Sigma_r and a non-zero noise mean.
+        model = NoiseModel(
+            covariance=np.diag(rng.uniform(0.2, 3.0, m)),
+            mean=rng.normal(0.0, 0.3, m),
+            family=family,
+        )
+        disguised = self._table(n, m, seed=n + 1)
+        result = UnivariateReconstructor().reconstruct(disguised, model)
+        np.testing.assert_array_equal(
+            result.estimate, _per_column_reference(disguised, model)
+        )
+
+    def test_degenerate_column_collapses_to_prior_mean(self):
+        from repro.randomization.base import NoiseModel
+
+        disguised = self._table(500, 3, seed=8)
+        disguised[:, 1] = 0.25 * disguised[:, 1] + 1.0  # variance below noise
+        model = NoiseModel(
+            covariance=np.diag([0.5, 100.0, 0.5]), mean=np.zeros(3)
+        )
+        result = UnivariateReconstructor().reconstruct(disguised, model)
+        reference = _per_column_reference(disguised, model)
+        np.testing.assert_array_equal(result.estimate, reference)
+        assert np.all(result.estimate[:, 1] == disguised[:, 1].mean())
+
+    def test_non_positive_noise_variance_names_the_attribute(self):
+        from repro.randomization.base import NoiseModel
+
+        model = NoiseModel(
+            covariance=np.diag([1.0, 1.0, -0.0, 0.0]), mean=np.zeros(4)
+        )
+        with pytest.raises(ValidationError, match="attribute 2 "):
+            UnivariateReconstructor().reconstruct(self._table(50, 4, 9), model)
+
 class TestReconstructedPrior:
     def test_non_gaussian_data_beats_gaussian_prior(self):
         """Bimodal data: the AS-reconstructed prior beats moment matching."""
