@@ -375,6 +375,66 @@ def _battery_smoke():
     return _battery_setup(2_000, 100, seed=808)
 
 
+@register_benchmark(
+    "hotpath.attack_battery.large",
+    group="hotpath",
+    tags=("large",),
+    params={"n_records": 100_000, "m": 50},
+    repeat=3,
+)
+def _battery_large():
+    return _battery_setup(100_000, 50, seed=808)
+
+
+# ----------------------------------------------------------------------
+# Scoring one attack: both calls evaluate_attacks makes per attack
+# ----------------------------------------------------------------------
+def _scoring_setup(n: int, m: int, seed: int):
+    from repro.metrics.error import per_attribute_rmse, root_mean_square_error
+    from repro.randomization.base import DisguisedDataset
+    from repro.reconstruction import BayesEstimateReconstructor
+
+    original, disguised, model = _correlated_table(
+        n, m, max(m // 10, 2), seed
+    )
+    dataset = DisguisedDataset(
+        disguised=disguised,
+        noise_model=model,
+        original=original,
+        noise=disguised - original,
+    )
+    result = BayesEstimateReconstructor().reconstruct(dataset)
+
+    def run():
+        return (
+            root_mean_square_error(dataset.original, result),
+            per_attribute_rmse(dataset.original, result),
+        )
+
+    return run
+
+
+@register_benchmark(
+    "hotpath.scoring.smoke",
+    group="hotpath",
+    tags=("smoke",),
+    params={"n_records": 2_000, "m": 100},
+)
+def _scoring_smoke():
+    return _scoring_setup(2_000, 100, seed=909)
+
+
+@register_benchmark(
+    "hotpath.scoring.large",
+    group="hotpath",
+    tags=("large",),
+    params={"n_records": 100_000, "m": 50},
+    repeat=3,
+)
+def _scoring_large():
+    return _scoring_setup(100_000, 50, seed=909)
+
+
 # ----------------------------------------------------------------------
 # Ledoit-Wolf shrinkage covariance (ablation A3's estimator option)
 # ----------------------------------------------------------------------

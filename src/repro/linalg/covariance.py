@@ -37,6 +37,13 @@ def sample_mean(data) -> np.ndarray:
 def sample_covariance(data, *, ddof: int = 1) -> np.ndarray:
     """Sample covariance of an ``(n, m)`` data matrix (columns = attributes).
 
+    The data is scanned for NaN / infinity only when a column mean is
+    not finite.  A non-finite cell always makes its column's mean
+    non-finite (and so that column's diagonal entry), so the same inputs
+    raise the same :class:`~repro.exceptions.ValidationError` as a
+    scan-first check, and finite data that overflows still returns
+    ``inf`` with numpy's overflow warning.
+
     Parameters
     ----------
     data:
@@ -44,13 +51,20 @@ def sample_covariance(data, *, ddof: int = 1) -> np.ndarray:
     ddof:
         Delta degrees of freedom; 1 gives the unbiased estimator.
     """
-    matrix = check_matrix(data, "data")
+    matrix = np.asarray(data, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.size == 0 or matrix.shape[0] <= ddof:
+        matrix = check_matrix(data, "data")
     n = matrix.shape[0]
     if n <= ddof:
         raise ValidationError(
             f"need more than ddof={ddof} rows to estimate covariance, got {n}"
         )
-    centered = matrix - matrix.mean(axis=0)
+    # inf + -inf in a column is NaN: let the validator report it.
+    with np.errstate(invalid="ignore"):
+        means = matrix.mean(axis=0)
+    if not np.isfinite(means).all():
+        check_matrix(data, "data")
+    centered = matrix - means
     cov = centered.T @ centered / (n - ddof)
     return (cov + cov.T) / 2.0
 

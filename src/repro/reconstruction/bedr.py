@@ -165,9 +165,9 @@ class BayesEstimateReconstructor(Reconstructor):
         # x_hat = A^-1 (Sigma_x^-1 mu_x - Sigma_r^-1 mu_r + Sigma_r^-1 y),
         # vectorized over all n records at once.
         constant = precision_x @ mu_x - precision_r @ noise_model.mean
-        estimate = (
-            disguised @ precision_r.T + constant
-        ) @ posterior_covariance.T
+        projected = disguised @ precision_r.T
+        projected += constant
+        estimate = projected @ posterior_covariance.T
 
         # The Gaussian posterior covariance is also the estimator's error
         # covariance, so the model-implied reconstruction MSE per cell is

@@ -148,7 +148,9 @@ class MultivariateNormal:
             raise ValidationError(f"size must be >= 1, got {size}")
         generator = as_generator(rng)
         standard = generator.standard_normal((size, self.dim))
-        return self._mean + standard @ self._cholesky().T
+        values = standard @ self._cholesky().T
+        values += self._mean
+        return values
 
     # ------------------------------------------------------------------
     # Marginals and conditionals

@@ -1,11 +1,12 @@
 """Property-based tests for metric invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.data.covariance_builder import CovarianceModel
+from repro.linalg.covariance import sample_covariance
 from repro.metrics.dissimilarity import correlation_dissimilarity
 from repro.metrics.error import (
     mean_square_error,
@@ -70,6 +71,37 @@ class TestErrorMetricProperties:
         per_attr = per_attribute_rmse(a, b)
         total = root_mean_square_error(a, b)
         assert np.isclose(np.sqrt(np.mean(per_attr**2)), total, atol=1e-9)
+
+
+class TestTextbookFormulas:
+    """Finite inputs give exactly the textbook value, bit for bit.
+
+    The functions check finiteness on their reduced result instead of
+    scanning the inputs first; that must not change a single bit.
+    """
+
+    @given(pair=matrix_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_scores_equal_formula(self, pair):
+        a, b = pair
+        mse = np.mean((a - b) ** 2)
+        assert mean_square_error(a, b) == mse
+        assert root_mean_square_error(a, b) == np.sqrt(mse)
+        np.testing.assert_array_equal(
+            per_attribute_rmse(a, b), np.sqrt(np.mean((a - b) ** 2, axis=0))
+        )
+
+    @given(pair=matrix_pairs(), ddof=st.integers(min_value=0, max_value=1))
+    @settings(max_examples=50, deadline=None)
+    def test_sample_covariance_equals_centred_product(self, pair, ddof):
+        a, _ = pair
+        n = a.shape[0]
+        assume(n > ddof)
+        centred = a - a.mean(axis=0)
+        cov = centred.T @ centred / (n - ddof)
+        np.testing.assert_array_equal(
+            sample_covariance(a, ddof=ddof), (cov + cov.T) / 2.0
+        )
 
 
 class TestDissimilarityProperties:

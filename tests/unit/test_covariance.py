@@ -40,6 +40,62 @@ class TestSampleMoments:
         np.testing.assert_array_equal(cov, cov.T)
 
 
+_NOT_FINITE = "'data' contains NaN or infinite values"
+
+
+# A RuntimeWarning (e.g. numpy's "invalid value" for inf - inf) must not
+# reach the caller before the ValidationError.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSampleCovarianceValidation:
+    """The same inputs raise the same errors however the checks are ordered."""
+
+    @staticmethod
+    def _data():
+        data = np.random.default_rng(3).normal(size=(6, 3))
+        data[:, 2] = 0.0  # exact zeros: inf * 0 inside the product
+        return data
+
+    @pytest.mark.parametrize("cell", [(0, 0), (5, 2), (3, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, cell, bad):
+        data = self._data()
+        data[cell] = bad
+        with pytest.raises(ValidationError, match=_NOT_FINITE):
+            sample_covariance(data)
+
+    def test_opposite_infinities_in_one_column_rejected(self):
+        data = self._data()
+        data[0, 1] = np.inf
+        data[4, 1] = -np.inf
+        with pytest.raises(ValidationError, match=_NOT_FINITE):
+            sample_covariance(data)
+
+    def test_nan_beats_too_few_rows(self):
+        with pytest.raises(ValidationError, match=_NOT_FINITE):
+            sample_covariance(np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_not_a_matrix_rejected(self, shape):
+        with pytest.raises(ValidationError, match="'data' has shape"):
+            sample_covariance(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [((0, 3), "at least 1 rows"), ((3, 0), "at least 1 columns")],
+    )
+    def test_empty_rejected(self, shape, match):
+        with pytest.raises(ValidationError, match=match):
+            sample_covariance(np.zeros(shape))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_returns_inf_with_warning(self, sign):
+        data = sign * np.array([[1e200, 1.0], [-1e200, 2.0], [3e200, 0.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            cov = sample_covariance(data)
+        assert cov[0, 0] == np.inf
+        assert np.isfinite(cov[1, 1])
+
+
 class TestCovarianceFromDisguised:
     """Theorem 5.1: Cov(Y) = Cov(X) + sigma^2 I recovers Cov(X)."""
 

@@ -344,3 +344,32 @@ class TestCallCounts:
             "eigh": eigh_calls,
             "noise_marginal_density": 0,
         }
+
+    def test_full_table_finiteness_scans(self, monkeypatch):
+        """Scoring does not rescan the tables the dataset already checked.
+
+        The remaining scans: the original in ``disguise``, the three
+        tables of the ``DisguisedDataset`` and each attack's estimate.
+        """
+        import repro.utils.validation as validation
+
+        n, m = 2000, 20
+        scans = 0
+        check_finite = validation.check_finite
+
+        def counting(array, name):
+            nonlocal scans
+            if np.shape(array) == (n, m):
+                scans += 1
+            return check_finite(array, name)
+
+        monkeypatch.setattr(validation, "check_finite", counting)
+        params = {
+            "spectrum": two_level_spectrum(
+                m, 4, total_variance=2000.0, non_principal_value=4.0
+            ),
+            "n_records": n,
+            "noise_std": 5.0,
+        }
+        two_level_trial(params, np.random.default_rng(2005))
+        assert scans <= 8
