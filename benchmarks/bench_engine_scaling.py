@@ -1,9 +1,9 @@
 """Engine scaling — serial vs process-pool wall-clock on Figure 1.
 
 Runs a Figure-1-sized sweep (all eleven attribute counts, two trials per
-point) through the serial backend and through ``ParallelExecutor`` at
-several worker counts, asserts the parallel series are bit-identical to
-the serial baseline, and records wall-clock times and speedups as JSON
+point) in process and through ``Executor(workers=N)`` at several worker
+counts, asserts the parallel series are bit-identical to the serial
+baseline, and records wall-clock times and speedups as JSON
 under ``benchmarks/results/``.
 
 The speedup assertion (> 1.5x at 4 workers) only applies on machines
@@ -17,12 +17,7 @@ import time
 
 import numpy as np
 
-from repro.engine import (
-    Engine,
-    ParallelExecutor,
-    SerialExecutor,
-    default_worker_count,
-)
+from repro.engine import Engine, Executor, default_worker_count
 from repro.api.config import SweepConfig
 from repro.experiments.runners import run_experiment1_attributes
 
@@ -43,12 +38,12 @@ def _timed_run(engine: Engine):
 
 def test_engine_scaling_speedup_and_determinism():
     usable_cpus = default_worker_count()
-    serial_series, serial_seconds = _timed_run(Engine(SerialExecutor()))
+    serial_series, serial_seconds = _timed_run(Engine(Executor()))
 
     runs = {"serial": {"workers": 1, "seconds": serial_seconds, "speedup": 1.0}}
     speedups = {}
     for workers in WORKER_COUNTS:
-        engine = Engine(ParallelExecutor(workers=workers))
+        engine = Engine(Executor(workers=workers))
         series, seconds = _timed_run(engine)
         for method in serial_series.methods:
             np.testing.assert_array_equal(

@@ -261,7 +261,6 @@ RULES = RuleRegistry(
         "repro.analysis.rules.api_surface",
         "repro.analysis.rules.concurrency",
         "repro.analysis.rules.registry_contract",
-        "repro.analysis.rules.shm_lifecycle",
         "repro.analysis.rules.iter_hotpath",
     )
 )

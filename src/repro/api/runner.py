@@ -1,9 +1,13 @@
 """The front door: run a spec (object, dict, or JSON file) end to end.
 
 :func:`run_spec` compiles an :class:`~repro.api.spec.ExperimentSpec`
-into engine jobs, executes them (serial, process-pool, cached — all of
-the engine's machinery applies untouched), and aggregates the payloads
-into an :class:`~repro.api.result.ExperimentResult`.
+into engine jobs, executes them (in process or on a worker pool, cached
+or not — all of the engine's machinery applies untouched), and
+aggregates the payloads into an
+:class:`~repro.api.result.ExperimentResult`.  :func:`build_engine` is
+the one place that maps the common knobs — worker count, cache,
+progress, failure mode — onto an :class:`~repro.engine.Engine`; the CLI
+goes through it too.
 
 :class:`Experiment` is the object-shaped facade over the same path,
 with ``from_json`` / ``from_file`` constructors for specs stored as
@@ -18,14 +22,7 @@ from typing import Any
 
 from repro.api.result import ExperimentResult
 from repro.api.spec import ExperimentSpec
-from repro.engine import (
-    Engine,
-    ParallelExecutor,
-    ResultCache,
-    SerialExecutor,
-    create_backend,
-)
-from repro.engine.executor import Executor
+from repro.engine import Engine, Executor, ResultCache
 from repro.engine.jobs import JobSpec
 from repro.engine.progress import ProgressReporter
 from repro.exceptions import ValidationError
@@ -36,7 +33,6 @@ __all__ = ["Experiment", "build_engine", "run_spec"]
 def build_engine(
     *,
     jobs: int = 1,
-    backend: str | None = None,
     cache: ResultCache | bool | str | os.PathLike[str] | None = False,
     progress: ProgressReporter | None = None,
     fail_fast: bool = True,
@@ -46,15 +42,9 @@ def build_engine(
     Parameters
     ----------
     jobs:
-        ``1`` runs in-process; any other value selects the process-pool
-        backend (``0`` = autodetect worker count).  Results are
+        Worker count: ``1`` runs in-process, any other value a process
+        pool of that size (``0`` = autodetect).  Results are
         bit-identical either way.
-    backend:
-        Executor backend name (see :func:`repro.engine.backend_names`),
-        created via :func:`repro.engine.create_backend` with ``jobs``
-        workers.  ``None`` (default) keeps the historical mapping:
-        ``jobs == 1`` is in-process serial, anything else is the
-        pickle-transport process pool.
     cache:
         ``False``/``None`` (default) disables on-disk caching — the
         same default as ``run_spec(spec)`` with no keywords, so adding
@@ -68,13 +58,6 @@ def build_engine(
         drains the grid, surfacing failures as failed
         :class:`~repro.engine.jobs.JobResult` objects.
     """
-    executor: Executor
-    if backend is not None:
-        executor = create_backend(backend, workers=jobs)
-    elif jobs == 1:
-        executor = SerialExecutor()
-    else:
-        executor = ParallelExecutor(workers=jobs)
     if cache is True:
         result_cache = ResultCache()
     elif cache is False or cache is None:
@@ -84,7 +67,7 @@ def build_engine(
     else:
         result_cache = ResultCache(cache)
     return Engine(
-        executor=executor,
+        executor=Executor(workers=jobs),
         cache=result_cache,
         progress=progress,
         fail_fast=fail_fast,
@@ -118,10 +101,8 @@ def run_spec(
         A preconfigured engine; mutually exclusive with the keyword
         shortcuts below.
     engine_kwargs:
-        ``jobs`` / ``backend`` / ``cache`` / ``progress`` / ``fail_fast``
-        forwarded to :func:`build_engine` when no engine is given.  A
-        spec's own ``backend`` field acts as the default for
-        ``backend``; an explicit keyword overrides it.
+        ``jobs`` / ``cache`` / ``progress`` / ``fail_fast`` forwarded to
+        :func:`build_engine` when no engine is given.
     """
     if engine is not None and engine_kwargs:
         raise ValidationError(
@@ -129,9 +110,7 @@ def run_spec(
         )
     experiment_spec = _coerce_spec(spec)
     if engine is None:
-        if experiment_spec.backend is not None:
-            engine_kwargs.setdefault("backend", experiment_spec.backend)
-        engine = build_engine(**engine_kwargs) if engine_kwargs else Engine()
+        engine = build_engine(**engine_kwargs)
     results = engine.run(experiment_spec.compile_jobs())
     return ExperimentResult.from_job_results(experiment_spec, results)
 

@@ -99,12 +99,6 @@ class ExperimentSpec:
         ``"grid"`` derives per-job streams from ``(point, trial)``;
         ``"root"`` hands the root stream to a single job (the historical
         theorem-5.2 derivation).
-    backend:
-        Preferred executor backend name (see
-        :func:`repro.engine.backend_names`), or ``None`` to let the
-        caller decide.  Purely an execution hint: it never reaches
-        :meth:`compile_jobs`, so job keys — and therefore cache entries
-        — are identical whichever backend runs the spec.
     x_param / x_from / x_values / x_label:
         Where the x-axis comes from: a swept parameter path, a payload
         key averaged per point (e.g. measured dissimilarity), or an
@@ -125,7 +119,6 @@ class ExperimentSpec:
     trials: int = 1
     seed: int | None = None
     seed_mode: str = "grid"
-    backend: str | None = None
     x_param: str | None = None
     x_from: str | None = None
     x_values: tuple[float, ...] | None = None
@@ -143,14 +136,6 @@ class ExperimentSpec:
                 f"seed_mode must be one of {_SEED_MODES}, got "
                 f"{self.seed_mode!r}"
             )
-        if self.backend is not None:
-            from repro.engine.backends import BACKENDS, backend_names
-
-            if self.backend not in BACKENDS:
-                raise ValidationError(
-                    f"unknown executor backend {self.backend!r}; "
-                    f"registered: {backend_names()}"
-                )
         if not isinstance(self.params, dict):
             raise ValidationError("'params' must be a dict")
         if not isinstance(self.grid, dict):
@@ -427,7 +412,6 @@ class ExperimentSpec:
             "trials": self.trials,
             "seed": self.seed,
             "seed_mode": self.seed_mode,
-            "backend": self.backend,
             "x_param": self.x_param,
             "x_from": self.x_from,
             "x_values": None if self.x_values is None else list(self.x_values),
@@ -465,7 +449,6 @@ class ExperimentSpec:
                 "threat_model",
                 "dataset",
                 "seed",
-                "backend",
                 "x_param",
                 "x_from",
                 "x_values",

@@ -9,8 +9,8 @@ its ``"repro.api.tasks:attack_point"`` reference.
 
 Determinism: the single engine-derived generator is consumed
 sequentially — dataset draw first, then the disguise draw — the same
-contract as the figure tasks, so results are bit-identical under any
-executor backend.
+contract as the figure tasks, so results are bit-identical for any
+worker count.
 
 Failed attacks do not abort the point: the pipeline records the
 exception and the payload carries the nan sentinel (strict JSON has no
@@ -28,7 +28,7 @@ from repro.core.threat_model import ThreatModel
 from repro.registry import ATTACKS, DATASETS, SCHEMES
 from repro.utils.serialization import sanitize_for_json
 
-__all__ = ["attack_point", "attack_shard"]
+__all__ = ["attack_point"]
 
 
 def attack_point(
@@ -61,46 +61,6 @@ def attack_point(
         "rmse": {
             label: sanitize_for_json(report.rmse(label)) for label in attacks
         }
-    }
-    failures = report.failures
-    if failures:
-        payload["errors"] = failures
-    return payload
-
-
-def attack_shard(
-    params: dict[str, Any], rng: np.random.Generator | None
-) -> dict[str, Any]:
-    """Disguise-and-attack one pre-published data shard.
-
-    The data-plane counterpart of :func:`attack_point`: instead of
-    generating records in the worker, ``params["data"]`` arrives as an
-    ndarray — the engine resolves an encoded
-    :class:`~repro.engine.dataplane.ArrayRef` (zero-copy under the
-    shared-memory backend) before the task runs, and in-process callers
-    may pass the array directly.  The scheme's noise draw comes solely
-    from the engine-derived ``rng``, so results are bit-identical under
-    any executor backend.
-
-    params: ``data`` (records-by-features matrix or an ArrayRef to
-    one), ``scheme`` registry spec, ``attacks`` mapping curve labels to
-    attack specs.  Returns ``{"rmse": {label: value}, "rows": int}``
-    plus ``"errors"`` when any attack raised.
-    """
-    data = np.asarray(params["data"], dtype=np.float64)
-    scheme = SCHEMES.create(params["scheme"])
-    attacks = {
-        label: ATTACKS.create(spec)
-        for label, spec in params["attacks"].items()
-    }
-    report = AttackPipeline(scheme, attacks).run(
-        data, rng=rng, fail_fast=False
-    )
-    payload: dict[str, Any] = {
-        "rmse": {
-            label: sanitize_for_json(report.rmse(label)) for label in attacks
-        },
-        "rows": int(data.shape[0]),
     }
     failures = report.failures
     if failures:

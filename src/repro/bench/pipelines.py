@@ -19,7 +19,6 @@ __all__ = []  # everything here registers via side effect
 def _pipeline_setup(name: str, config=None):
     from repro.api.builtin import builtin_spec
     from repro.api.runner import run_spec
-    from repro.engine import Engine, SerialExecutor
 
     if config is not None:
         spec = builtin_spec(name, config)
@@ -27,8 +26,7 @@ def _pipeline_setup(name: str, config=None):
         spec = builtin_spec(name)
 
     def run():
-        engine = Engine(executor=SerialExecutor(), cache=None)
-        return run_spec(spec, engine=engine)
+        return run_spec(spec)
 
     return run
 
@@ -88,13 +86,11 @@ def _figure4_smoke():
 def _theorem52_smoke():
     from repro.api.builtin import theorem52_spec
     from repro.api.runner import run_spec
-    from repro.engine import Engine, SerialExecutor
 
     spec = theorem52_spec(n_records=1_000)
 
     def run():
-        engine = Engine(executor=SerialExecutor(), cache=None)
-        return run_spec(spec, engine=engine)
+        return run_spec(spec)
 
     return run
 

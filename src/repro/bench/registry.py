@@ -56,7 +56,7 @@ class BenchmarkCase:
         When ``True`` the workload's return value from the final timed
         run — a JSON-safe dict — is stored as the payload entry's
         ``extra`` field.  Scaling benchmarks use it to ship structured
-        measurements (per-backend curves, peak RSS) alongside the
+        measurements (per-configuration curves, peak RSS) alongside the
         headline timing.
     """
 

@@ -421,8 +421,7 @@ def _main_history(files: list, args) -> int:
 
 def main_bench(args) -> int:
     """Entry point for the ``repro bench`` subcommand."""
-    import repro.bench.dataplane  # noqa: F401  (registration side effects)
-    import repro.bench.hotpaths  # noqa: F401
+    import repro.bench.hotpaths  # noqa: F401  (registration side effects)
     import repro.bench.pipelines  # noqa: F401
     import repro.bench.telemetry  # noqa: F401
 

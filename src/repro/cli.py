@@ -26,8 +26,8 @@ Usage (after ``pip install -e .``)::
     python -m repro figure2           # module form
 
 Every experiment — a user spec or a built-in — executes through
-:mod:`repro.api` and :mod:`repro.engine`.  ``--jobs N`` selects the
-process-pool backend (``0`` = autodetect); results are bit-identical
+:mod:`repro.api` and :mod:`repro.engine`.  ``--jobs N`` runs the sweep
+on N worker processes (``0`` = autodetect); results are bit-identical
 for any worker count.  Completed jobs are cached on disk
 (``--cache-dir``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) so
 rerunning a sweep skips finished work; ``--no-cache`` disables that.
@@ -45,18 +45,13 @@ import sys
 
 from repro.api.builtin import builtin_spec
 from repro.api.config import DEFAULT_NOISE_STD, DEFAULT_RECORDS, SweepConfig
-from repro.api.runner import run_spec
+from repro.api.runner import build_engine, run_spec
 from repro.api.spec import ExperimentSpec
 from repro.engine import (
     Engine,
-    ParallelExecutor,
     ProgressReporter,
-    ResultCache,
-    SerialExecutor,
     ThroughputReporter,
     TraceReporter,
-    backend_names,
-    create_backend,
 )
 from repro.exceptions import ReproError
 from repro.experiments.ascii_plot import plot_series
@@ -118,17 +113,6 @@ def _add_engine_arguments(sub: argparse.ArgumentParser) -> None:
         help=(
             "worker processes (1 = in-process serial, 0 = autodetect "
             "CPU count); results are identical for any value"
-        ),
-    )
-    sub.add_argument(
-        "--backend",
-        default=None,
-        choices=backend_names(),
-        help=(
-            "executor backend for the sweep (default: serial for "
-            "--jobs 1, otherwise the pickle-transport process pool; "
-            "'shared-memory' ships large arrays as zero-copy shm "
-            "segments); results are bit-identical for every backend"
         ),
     )
     sub.add_argument(
@@ -492,22 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _engine_from_args(args) -> Engine:
     """Build the execution engine the selected flags describe."""
-    jobs = getattr(args, "jobs", 1)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        executor = create_backend(backend, workers=jobs)
-    elif jobs == 1:
-        executor = SerialExecutor()
+    if getattr(args, "no_cache", False):
+        cache = False
     else:
-        executor = ParallelExecutor(workers=jobs)
-    cache = None
-    if not getattr(args, "no_cache", False):
-        cache = ResultCache(getattr(args, "cache_dir", None))
+        cache_dir = getattr(args, "cache_dir", None)
+        cache = True if cache_dir is None else cache_dir
     if sys.stderr.isatty():
         progress = ThroughputReporter()
     else:
         progress = ProgressReporter()
-    return Engine(executor=executor, cache=cache, progress=progress)
+    return build_engine(
+        jobs=getattr(args, "jobs", 1), cache=cache, progress=progress
+    )
 
 
 def _execute_spec(spec, args):
@@ -567,9 +547,6 @@ def _run_spec_file(args) -> int:
     except ReproError as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "backend", None) is None and spec.backend is not None:
-        # The spec's own backend hint applies unless --backend overrides.
-        args.backend = spec.backend
     result = _execute_spec(spec, args)
     if args.json:
         print(result.to_json(indent=2))

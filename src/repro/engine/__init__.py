@@ -1,12 +1,12 @@
-"""Parallel experiment engine: jobs, executors, result cache, progress.
+"""Parallel experiment engine: jobs, the executor, result cache, progress.
 
 This package is the execution layer every figure runner and ablation
 routes through.  Callers describe their sweep as a list of serializable
 :class:`~repro.engine.jobs.JobSpec` objects and hand it to an
 :class:`Engine`, which consults the optional on-disk
-:class:`~repro.engine.cache.ResultCache`, dispatches the misses to a
-:class:`~repro.engine.executor.SerialExecutor` or process-pool
-:class:`~repro.engine.executor.ParallelExecutor`, and returns
+:class:`~repro.engine.cache.ResultCache`, dispatches the misses to an
+:class:`~repro.engine.executor.Executor` (in process for one worker, a
+process pool otherwise), and returns
 :class:`~repro.engine.jobs.JobResult` objects in spec order.
 
 Determinism contract
@@ -14,9 +14,9 @@ Determinism contract
 Every job's randomness derives solely from its ``(seed_root,
 seed_path)`` seed coordinates — ``default_rng(SeedSequence(seed_root,
 spawn_key=seed_path))`` — which reproduces the historical
-``spawn_generators`` tree exactly.  Therefore the executor backend,
-worker count, chunking, and execution order never change a result bit,
-and a cached payload is interchangeable with a fresh execution.
+``spawn_generators`` tree exactly.  Therefore the worker count,
+chunking, and execution order never change a result bit, and a cached
+payload is interchangeable with a fresh execution.
 """
 
 from __future__ import annotations
@@ -24,22 +24,8 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from repro.engine.backends import (
-    BACKENDS,
-    backend_names,
-    create_backend,
-    register_backend,
-)
 from repro.engine.cache import ResultCache, default_cache_dir
-from repro.engine.dataplane import ArrayRef, DataPlane
-from repro.engine.executor import (
-    Executor,
-    ExecutorBackend,
-    ParallelExecutor,
-    SerialExecutor,
-    SharedMemoryExecutor,
-    default_worker_count,
-)
+from repro.engine.executor import Executor, default_worker_count
 from repro.engine.jobs import (
     CACHE_VERSION,
     JobResult,
@@ -54,36 +40,25 @@ from repro.engine.progress import (
     ThroughputReporter,
     TraceReporter,
 )
-from repro.exceptions import DataPlaneError, JobExecutionError
+from repro.exceptions import JobExecutionError
 from repro.telemetry import trace
 
 __all__ = [
-    "ArrayRef",
-    "BACKENDS",
     "CACHE_VERSION",
-    "DataPlane",
-    "DataPlaneError",
     "Engine",
     "Executor",
-    "ExecutorBackend",
     "JobExecutionError",
     "JobResult",
     "JobSpec",
-    "ParallelExecutor",
     "ProgressReporter",
     "ResultCache",
-    "SerialExecutor",
-    "SharedMemoryExecutor",
     "ThroughputReporter",
     "TraceReporter",
-    "backend_names",
-    "create_backend",
     "default_cache_dir",
     "default_worker_count",
     "derive_rng",
     "execute_job",
     "failed_result",
-    "register_backend",
     "resolve_task",
 ]
 
@@ -94,7 +69,7 @@ class Engine:
     Parameters
     ----------
     executor:
-        Backend for cache misses; default :class:`SerialExecutor`, so a
+        Runs the cache misses; default ``Executor()`` (one worker), so a
         bare ``Engine()`` behaves exactly like the historical in-process
         loops.
     cache:
@@ -118,7 +93,7 @@ class Engine:
         progress: ProgressReporter | None = None,
         fail_fast: bool = True,
     ) -> None:
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor if executor is not None else Executor()
         self.cache = cache
         self.progress = progress if progress is not None else ProgressReporter()
         self.fail_fast = fail_fast
@@ -137,8 +112,7 @@ class Engine:
         with trace.span(
             "engine.run",
             jobs=total,
-            executor=type(self.executor).__name__,
-            workers=getattr(self.executor, "workers", 1),
+            workers=self.executor.workers,
         ) as run_span:
             # Heartbeat gauges: the live progress surface the metrics
             # exporter derives rate/ETA from.  Last-value-wins, so a

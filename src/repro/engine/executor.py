@@ -1,26 +1,16 @@
-"""Executor backends: serial, process-pool, and shared-memory.
+"""The executor: runs job specs in process or on a process pool.
 
-An executor turns a list of :class:`~repro.engine.jobs.JobSpec` into the
-matching list of :class:`~repro.engine.jobs.JobResult`, order-preserving.
-Because every job derives its randomness from ``(seed_root, seed_path)``
-alone (see :mod:`repro.engine.jobs`), the backend choice changes only
-wall-clock time and memory traffic — every backend is bit-identical to
-:class:`SerialExecutor` for any worker count.
+An :class:`Executor` turns a list of :class:`~repro.engine.jobs.JobSpec`
+into the matching list of :class:`~repro.engine.jobs.JobResult`,
+order-preserving.  Its one knob is the worker count: with one worker
+(or a single spec) every job runs in this process; otherwise the specs
+are dispatched in auto-sized chunks to a ``ProcessPoolExecutor``.
+Because every job derives its randomness from ``(seed_root,
+seed_path)`` alone (see :mod:`repro.engine.jobs`), the worker count
+changes only wall-clock time — results are bit-identical to the
+in-process path for any number of workers.
 
-The three built-in backends differ in how bulk data published on the
-:mod:`~repro.engine.dataplane` reaches the task:
-
-* :class:`SerialExecutor` — in-process; refs resolve against the active
-  plane directly (zero copy).
-* :class:`ParallelExecutor` — process pool; each dispatch chunk carries
-  a pickled copy of every array its jobs reference.  Simple, but the
-  per-chunk copies are exactly the cost the data plane exists to avoid.
-* :class:`SharedMemoryExecutor` — process pool over
-  ``multiprocessing.shared_memory``: arrays are exported once as
-  segments, workers attach lazily and read zero-copy shard views.
-  Segments are closed and unlinked on success, failure, and interrupt.
-
-Failure handling is uniform across backends: with ``fail_fast=True``
+Failure handling is the same on both paths: with ``fail_fast=True``
 (default) the first failing job raises
 :class:`~repro.exceptions.JobExecutionError` out of :meth:`Executor.run`
 after finished work has been delivered to the callback; with
@@ -33,87 +23,68 @@ back as failed results.
 
 from __future__ import annotations
 
-import abc
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import as_completed
 from dataclasses import replace
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
-import numpy as np
-
-from repro.engine import dataplane
 from repro.engine.jobs import JobResult, JobSpec, execute_job, failed_result
 from repro.exceptions import ValidationError
 from repro.telemetry import trace
 from repro.telemetry.recorder import Recorder
 
-__all__ = [
-    "Executor",
-    "ExecutorBackend",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "SharedMemoryExecutor",
-    "default_worker_count",
-]
+__all__ = ["Executor", "default_worker_count"]
 
 
-def _traced_execute(
-    spec: JobSpec, submitted_wall: float, fail_fast: bool
-) -> JobResult:
-    """Run one job under a fresh worker-side recorder.
+def _run_job(spec: JobSpec, fail_fast: bool, queue_wait: float) -> JobResult:
+    """Run one job, under an ``engine.job`` span when tracing is on.
 
-    The job's ``engine.job`` span records the queue-wait vs. compute
-    split (wall-clock from dispatch to start, comparable across
-    processes, vs. the task's own monotonic duration), the worker pid,
-    and seed coordinates; the whole fragment rides back to the parent
-    on the result for adoption into the parent trace.
+    The span records the queue-wait vs. compute split (wall-clock from
+    dispatch to start vs. the task's own monotonic duration), the
+    process that ran the job, and its seed coordinates.
     """
-    recorder = Recorder()
-    with trace.recording(recorder):
-        queue_wait = max(0.0, time.time() - submitted_wall)
-        with trace.span(
-            "engine.job",
-            task=spec.task,
-            key=spec.key()[:16],
-            seed_path=list(spec.seed_path),
-            worker=os.getpid(),
-            cached=False,
-            queue_wait=queue_wait,
-        ) as span:
-            result = execute_job(spec, fail_fast=fail_fast)
-            span.set(compute=result.duration)
-            if result.failed and result.error is not None:
-                span.set(error=result.error["type"])
-    return replace(result, trace=recorder.export_fragment())
+    if not trace.enabled():
+        return execute_job(spec, fail_fast=fail_fast)
+    with trace.span(
+        "engine.job",
+        task=spec.task,
+        key=spec.key()[:16],
+        seed_path=list(spec.seed_path),
+        worker=os.getpid(),
+        cached=False,
+        queue_wait=queue_wait,
+    ) as span:
+        result = execute_job(spec, fail_fast=fail_fast)
+        span.set(compute=result.duration)
+        if result.failed and result.error is not None:
+            span.set(error=result.error["type"])
+    return result
 
 
 def _execute_chunk(
     specs: list[JobSpec],
-    arrays: dict[str, np.ndarray] | None = None,
-    traced: bool = False,
-    submitted_wall: float = 0.0,
-    fail_fast: bool = True,
+    traced: bool,
+    submitted_wall: float,
+    fail_fast: bool,
 ) -> list[JobResult]:
     """Worker-side batch loop (module-level so the pool can pickle it).
 
-    ``arrays`` is the pickle transport's payload: the published arrays
-    this chunk's jobs reference, installed for ref resolution while the
-    chunk runs and dropped afterwards so a worker never holds data its
-    next chunk does not need.
+    When the parent is tracing, each job runs under a fresh worker-side
+    recorder and its span fragment rides back on the result for
+    adoption into the parent trace.
     """
-    if arrays is not None:
-        dataplane._load_worker_arrays(arrays)
-    try:
-        if not traced:
-            return [execute_job(spec, fail_fast=fail_fast) for spec in specs]
-        return [
-            _traced_execute(spec, submitted_wall, fail_fast) for spec in specs
-        ]
-    finally:
-        if arrays is not None:
-            dataplane._clear_worker_arrays()
+    if not traced:
+        return [execute_job(spec, fail_fast=fail_fast) for spec in specs]
+    results: list[JobResult] = []
+    for spec in specs:
+        recorder = Recorder()
+        with trace.recording(recorder):
+            queue_wait = max(0.0, time.time() - submitted_wall)
+            result = _run_job(spec, fail_fast, queue_wait)
+        results.append(replace(result, trace=recorder.export_fragment()))
+    return results
 
 
 def default_worker_count() -> int:
@@ -124,14 +95,34 @@ def default_worker_count() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-class Executor(abc.ABC):
+def _announce_workers(pool: _ProcessPool) -> None:
+    """Tell the resource sampler which PIDs are engine workers.
+
+    Called once the first chunks are submitted (the pool spawns its
+    processes lazily).  Announcing is unconditional and nearly free;
+    when no sampler is running the registry is simply never read.
+    """
+    from repro.telemetry.sampler import announce_workers
+
+    processes = getattr(pool, "_processes", None) or {}
+    pids = [
+        process.pid for process in processes.values() if process.pid is not None
+    ]
+    if pids:
+        announce_workers(pids)
+
+
+class Executor:
     """Executes job specs, preserving input order in the results.
 
-    This is the backend seam: every backend — in-process, process-pool,
-    shared-memory, and any future distributed executor — implements
-    exactly this interface and the engine, cache, and
-    :mod:`repro.api` never look behind it.  Instances are selected by
-    name through :mod:`repro.engine.backends`.
+    Parameters
+    ----------
+    workers:
+        Process count.  ``1`` (default) runs every job in this process;
+        ``0`` autodetects via :func:`default_worker_count`.  Any other
+        count dispatches chunks of ``ceil(n / (4 * workers))`` specs,
+        capped at 16, to a process pool — enough batching to amortize
+        IPC, small enough to keep the pool busy near the end of a sweep.
 
     Parameters of :meth:`run`:
 
@@ -139,10 +130,10 @@ class Executor(abc.ABC):
         The jobs to execute.
     ``callback``
         Optional ``callback(result)`` invoked once per finished job —
-        the progress-reporting and cache-write hook.  The parallel
-        backends fire it as dispatch chunks complete (not in spec
-        order), so finished work is observed — and cacheable — even
-        while other jobs are still running or about to fail.
+        the progress-reporting and cache-write hook.  The pool fires it
+        as dispatch chunks complete (not in spec order), so finished
+        work is observed — and cacheable — even while other jobs are
+        still running or about to fail.
     ``fail_fast``
         ``True`` (default): the first failing job raises
         :class:`~repro.exceptions.JobExecutionError` out of :meth:`run`
@@ -151,10 +142,19 @@ class Executor(abc.ABC):
         objects and the whole grid drains.
     """
 
-    #: Registry name of this backend (see :mod:`repro.engine.backends`).
-    name: str = ""
+    def __init__(self, workers: int = 1) -> None:
+        if workers == 0:
+            workers = default_worker_count()
+        if not isinstance(workers, int) or workers < 1:
+            raise ValidationError(
+                f"workers must be a positive int (or 0 for auto), "
+                f"got {workers!r}"
+            )
+        self.workers = workers
 
-    @abc.abstractmethod
+    def _chunk_for(self, n_jobs: int) -> int:
+        return max(1, min(16, -(-n_jobs // (4 * self.workers))))
+
     def run(
         self,
         specs: Sequence[JobSpec],
@@ -163,221 +163,52 @@ class Executor(abc.ABC):
         fail_fast: bool = True,
     ) -> list[JobResult]:
         """Execute every spec and return results in spec order."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-#: The seam's public name: backends implement :class:`Executor`.
-ExecutorBackend = Executor
-
-
-class SerialExecutor(Executor):
-    """In-process, one-at-a-time execution — the reference backend."""
-
-    name = "serial"
-
-    def run(
-        self,
-        specs: Sequence[JobSpec],
-        callback: Callable[[JobResult], None] | None = None,
-        *,
-        fail_fast: bool = True,
-    ) -> list[JobResult]:
-        results: list[JobResult] = []
-        traced = trace.enabled()
-        for spec in specs:
-            if traced:
-                # In-process: the span lands directly on the active
-                # recorder (no fragment shipping), and there is no
-                # dispatch queue to wait in.
-                with trace.span(
-                    "engine.job",
-                    task=spec.task,
-                    key=spec.key()[:16],
-                    seed_path=list(spec.seed_path),
-                    worker=os.getpid(),
-                    cached=False,
-                    queue_wait=0.0,
-                ) as span:
-                    result = execute_job(spec, fail_fast=fail_fast)
-                    span.set(compute=result.duration)
-                    if result.failed and result.error is not None:
-                        span.set(error=result.error["type"])
-            else:
-                result = execute_job(spec, fail_fast=fail_fast)
-            if callback is not None:
-                callback(result)
-            results.append(result)
-        return results
-
-
-class ParallelExecutor(Executor):
-    """``ProcessPoolExecutor``-backed execution with chunked dispatch.
-
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` or ``0`` autodetects via
-        :func:`default_worker_count`.
-    chunk_size:
-        Specs per dispatch batch; ``None`` picks ``ceil(n / (4 *
-        workers))`` capped at 16 — enough batching to amortize IPC,
-        small enough to keep the pool busy near the end of a sweep.
-
-    Data-plane arrays referenced by job params travel by **pickle**:
-    every dispatch chunk carries a full copy of each array its jobs
-    reference.  That reproduces the historical cost model this backend
-    has always had — use :class:`SharedMemoryExecutor` to ship each
-    array once instead.
-
-    On failure, every chunk that completed is still delivered to the
-    callback before the first error re-raises; only the failing chunk's
-    own jobs are lost (``fail_fast=False`` turns those into failed
-    results instead).
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self, workers: int | None = None, chunk_size: int | None = None
-    ) -> None:
-        if workers is None or workers == 0:
-            workers = default_worker_count()
-        if not isinstance(workers, int) or workers < 1:
-            raise ValidationError(
-                f"workers must be a positive int (or None/0 for auto), "
-                f"got {workers!r}"
-            )
-        if chunk_size is not None and (
-            not isinstance(chunk_size, int) or chunk_size < 1
-        ):
-            raise ValidationError(
-                f"chunk_size must be a positive int or None, got {chunk_size!r}"
-            )
-        self.workers = workers
-        self.chunk_size = chunk_size
-
-    def _chunk_for(self, n_jobs: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, min(16, -(-n_jobs // (4 * self.workers))))
-
-    # -- transport hooks (overridden by SharedMemoryExecutor) ----------
-
-    def _setup_transport(self, specs: list[JobSpec]) -> dict[str, Any]:
-        """Prepare bulk-data transport; returns extra pool kwargs."""
-        return {}
-
-    def _teardown_transport(self) -> None:
-        """Release transport resources (always called, even on error)."""
-
-    def _chunk_arrays(
-        self, batch: list[JobSpec]
-    ) -> dict[str, np.ndarray] | None:
-        """Published arrays to pickle into one dispatch chunk.
-
-        Only hashes actually published on the active plane are shipped;
-        a ref to anything else fails inside the worker with a
-        :class:`~repro.exceptions.DataPlaneError`, which respects the
-        run's ``fail_fast`` setting like any other job failure.
-        """
-        plane = dataplane.active_plane()
-        if plane is None:
-            return None
-        needed: set[str] = set()
-        for spec in batch:
-            needed |= dataplane.params_ref_hashes(spec.params)
-        available = needed.intersection(plane.hashes())
-        if not available:
-            return None
-        return {
-            key: plane.array_for_hash(key) for key in sorted(available)
-        }
-
-    @staticmethod
-    def _announce_workers(pool: _ProcessPool) -> None:
-        """Tell the resource sampler which PIDs are engine workers.
-
-        Called once the first chunks are submitted (the pool spawns its
-        processes lazily).  Announcing is unconditional and nearly free;
-        when no sampler is running the registry is simply never read.
-        """
-        from repro.telemetry.sampler import announce_workers
-
-        processes = getattr(pool, "_processes", None) or {}
-        pids = [
-            process.pid
-            for process in processes.values()
-            if process.pid is not None
-        ]
-        if pids:
-            announce_workers(pids)
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        specs: Sequence[JobSpec],
-        callback: Callable[[JobResult], None] | None = None,
-        *,
-        fail_fast: bool = True,
-    ) -> list[JobResult]:
         specs = list(specs)
-        if not specs:
-            return []
-        if len(specs) == 1 or self.workers == 1:
-            # Not worth a pool; the serial path is bit-identical anyway.
-            return SerialExecutor().run(specs, callback, fail_fast=fail_fast)
+        if len(specs) <= 1 or self.workers == 1:
+            # Not worth a pool; the in-process path is bit-identical.
+            results: list[JobResult] = []
+            for spec in specs:
+                result = _run_job(spec, fail_fast, queue_wait=0.0)
+                if callback is not None:
+                    callback(result)
+                results.append(result)
+            return results
         chunk = self._chunk_for(len(specs))
         chunks = [specs[i:i + chunk] for i in range(0, len(specs), chunk)]
         chunk_results: list[list[JobResult] | None] = [None] * len(chunks)
         first_error: Exception | None = None
         traced = trace.enabled()
-        pool_kwargs = self._setup_transport(specs)
-        try:
-            with _ProcessPool(
-                max_workers=min(self.workers, len(chunks)), **pool_kwargs
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _execute_chunk,
-                        batch,
-                        self._chunk_arrays(batch),
-                        traced,
-                        time.time(),
-                        fail_fast,
-                    ): index
-                    for index, batch in enumerate(chunks)
-                }
-                self._announce_workers(pool)
-                # Harvest in completion order so every finished chunk
-                # reaches the callback (and thus the cache) even when
-                # another chunk fails; the failure is re-raised only
-                # after the drain.
-                for future in as_completed(futures):
-                    index = futures[future]
-                    try:
-                        batch_results = future.result()
-                    except Exception as exc:
-                        if fail_fast:
-                            if first_error is None:
-                                first_error = exc
-                            continue
-                        # Draining mode: the chunk's jobs are lost (a
-                        # worker died, or dispatch itself failed) —
-                        # surface each as a failed result rather than
-                        # aborting the grid.
-                        batch_results = [
-                            failed_result(spec, exc)
-                            for spec in chunks[index]
-                        ]
-                    chunk_results[index] = batch_results
-                    if callback is not None:
-                        for result in batch_results:
-                            callback(result)
-        finally:
-            self._teardown_transport()
+        with _ProcessPool(max_workers=min(self.workers, len(chunks))) as pool:
+            futures = {
+                pool.submit(
+                    _execute_chunk, batch, traced, time.time(), fail_fast
+                ): index
+                for index, batch in enumerate(chunks)
+            }
+            _announce_workers(pool)
+            # Harvest in completion order so every finished chunk
+            # reaches the callback (and thus the cache) even when
+            # another chunk fails; the failure is re-raised only after
+            # the drain.
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    batch_results = future.result()
+                except Exception as exc:
+                    if fail_fast:
+                        if first_error is None:
+                            first_error = exc
+                        continue
+                    # Draining mode: the chunk's jobs are lost (a worker
+                    # died, or dispatch itself failed) — surface each as
+                    # a failed result rather than aborting the grid.
+                    batch_results = [
+                        failed_result(spec, exc) for spec in chunks[index]
+                    ]
+                chunk_results[index] = batch_results
+                if callback is not None:
+                    for result in batch_results:
+                        callback(result)
         if first_error is not None:
             raise first_error
         return [
@@ -385,66 +216,4 @@ class ParallelExecutor(Executor):
         ]
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SharedMemoryExecutor(ParallelExecutor):
-    """Process-pool backend with a zero-copy shared-memory data plane.
-
-    Arrays published on the active :class:`~repro.engine.dataplane.
-    DataPlane` are exported **once** as ``multiprocessing.shared_memory``
-    segments before the pool starts; workers attach lazily on first use
-    and resolve refs as read-only, zero-copy shard views.  Job params —
-    and therefore pickled dispatch traffic — stay a few hundred bytes
-    per job regardless of dataset size.
-
-    Cleanup guarantee: every exported segment is closed and unlinked in
-    a ``finally`` when the run ends — success, job failure, broken
-    pool, or ``KeyboardInterrupt`` — and an ``atexit`` sweep covers a
-    parent that dies before the ``finally`` runs.  Workers close (never
-    unlink) their attachments on exit.
-
-    Specs without data-plane refs execute exactly like
-    :class:`ParallelExecutor`, so this backend is a drop-in default for
-    mixed workloads.
-    """
-
-    name = "shared-memory"
-
-    def __init__(
-        self, workers: int | None = None, chunk_size: int | None = None
-    ) -> None:
-        super().__init__(workers=workers, chunk_size=chunk_size)
-        self._export_plane: dataplane.DataPlane | None = None
-        self._exported: dict[str, tuple[str, tuple[int, ...], str]] = {}
-
-    def _setup_transport(self, specs: list[JobSpec]) -> dict[str, Any]:
-        plane = dataplane.active_plane()
-        if plane is None:
-            return {}
-        needed: set[str] = set()
-        for spec in specs:
-            needed |= dataplane.params_ref_hashes(spec.params)
-        available = needed.intersection(plane.hashes())
-        if not available:
-            return {}
-        self._exported = plane.export_segments(sorted(available))
-        self._export_plane = plane
-        return {
-            "initializer": dataplane._init_worker_segments,
-            "initargs": (self._exported,),
-        }
-
-    def _teardown_transport(self) -> None:
-        plane, self._export_plane = self._export_plane, None
-        exported, self._exported = self._exported, {}
-        if plane is not None:
-            plane.release_segments(exported)
-
-    def _chunk_arrays(
-        self, batch: list[JobSpec]
-    ) -> dict[str, np.ndarray] | None:
-        # Segments replace the pickle payload entirely; refs that are
-        # neither exported nor published fail in the worker, honoring
-        # fail_fast like every other job failure.
-        return None
+        return f"Executor(workers={self.workers})"

@@ -42,7 +42,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import __version__ as _PACKAGE_VERSION
-from repro.engine import dataplane
 from repro.exceptions import JobExecutionError, ValidationError
 
 __all__ = [
@@ -249,9 +248,7 @@ def execute_job(spec: JobSpec, *, fail_fast: bool = True) -> JobResult:
     Parameters
     ----------
     spec:
-        The job to execute.  Params containing encoded
-        :class:`~repro.engine.dataplane.ArrayRef` entries are resolved
-        to ndarray views before the task runs.
+        The job to execute.
     fail_fast:
         With the default ``True``, task exceptions re-raise as
         :class:`JobExecutionError` with a flat, picklable message and
@@ -263,12 +260,11 @@ def execute_job(spec: JobSpec, *, fail_fast: bool = True) -> JobResult:
     try:
         function = resolve_task(spec.task)
         rng = derive_rng(spec)
-        params = dataplane.resolve_params(spec.params)
     except Exception as exc:
-        # Setup failures (unresolvable task, missing data-plane array)
-        # are caller bugs, not task failures: they propagate raw so
-        # misconfigured sweeps fail loudly.  Drain mode still converts
-        # them, keeping the rest of the grid alive.
+        # Setup failures (an unresolvable task) are caller bugs, not
+        # task failures: they propagate raw so misconfigured sweeps
+        # fail loudly.  Drain mode still converts them, keeping the
+        # rest of the grid alive.
         if not fail_fast:
             return failed_result(spec, exc, traceback=_traceback.format_exc())
         raise
@@ -276,7 +272,7 @@ def execute_job(spec: JobSpec, *, fail_fast: bool = True) -> JobResult:
     # never reaches the payload or JobSpec.key().
     start = time.perf_counter()  # repro: ignore[wall-clock] duration metric
     try:
-        values = function(params, rng)
+        values = function(spec.params, rng)
     except Exception as exc:
         original = _traceback.format_exc()
         if not fail_fast:

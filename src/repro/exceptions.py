@@ -19,7 +19,6 @@ __all__ = [
     "SpectrumError",
     "ConfigurationError",
     "JobExecutionError",
-    "DataPlaneError",
 ]
 
 
@@ -145,13 +144,3 @@ class JobExecutionError(ReproError, RuntimeError):
         # Default Exception pickling replays only ``args``; carry the
         # traceback string through explicitly.
         return (type(self), (self.args[0] if self.args else "", self.traceback))
-
-
-class DataPlaneError(ReproError, RuntimeError):
-    """A shared-memory data-plane operation failed.
-
-    Raised when an :class:`~repro.engine.dataplane.ArrayRef` cannot be
-    resolved in the current process (array never published, segment
-    gone) or when a shared-memory segment cannot be created or
-    attached.
-    """

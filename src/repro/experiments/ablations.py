@@ -13,7 +13,7 @@ built-in :class:`~repro.api.spec.ExperimentSpec`
 :func:`~repro.api.runner.run_spec`.  The ablations keep their historical
 explicit integer seeding: each compiled job carries its seeds in
 ``params`` and is therefore bit-identical to the old in-process loops
-under any executor backend.
+for any worker count.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ the corresponding built-in :class:`~repro.api.spec.ExperimentSpec`
 The specs compile into exactly the engine jobs the historical
 hand-written loops emitted — same task references, same params, same
 ``(config.seed, (point_index, trial_index))`` seed tree — so any
-executor backend, worker count, or cached rerun produces bit-identical
+worker count or cached rerun produces bit-identical
 series, and extending a sweep never changes existing points.
 """
 

@@ -12,7 +12,7 @@ provides
   thread-safe :class:`~repro.telemetry.recorder.Recorder`, which
   serializes everything to a versioned ``repro-trace/v1`` document
   (:mod:`~repro.telemetry.schema`) and merges fragments shipped back
-  from ``ParallelExecutor`` worker processes;
+  from the engine's worker processes;
 * **run manifests** (:mod:`~repro.telemetry.manifest`): spec hash, seed
   lineage, git revision, platform, package versions, per-job timings;
 * an ASCII **viewer** (:mod:`~repro.telemetry.viewer`) behind

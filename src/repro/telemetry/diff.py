@@ -6,10 +6,10 @@ in duration with self-time attribution — so "the sweep got 40% slower"
 decomposes into "EM iterations in these three jobs" instead of a
 number.  Alignment is structural, not positional: a span's identity is
 its ancestry path where each step prefers the engine cache key
-(``attrs.key`` — backend- and schedule-independent), then the bench
+(``attrs.key`` — worker- and schedule-independent), then the bench
 case name (``attrs.case``), and only falls back to name + occurrence
 index among same-name siblings.  Two runs of the same spec therefore
-align job-for-job even when a parallel backend completed them in a
+align job-for-job even when a worker pool completed them in a
 different order.
 
 The manifest delta answers the *why* half: spec hash, seed lineage,

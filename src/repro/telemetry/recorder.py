@@ -5,8 +5,8 @@ stack per thread, so spans started on different threads nest correctly
 and never interleave), monotonic counters, and last-value gauges.  It
 serializes to the versioned ``repro-trace/v1`` document (see
 :mod:`repro.telemetry.schema`) and can *adopt* serialized fragments —
-the mechanism by which spans recorded inside ``ParallelExecutor``
-worker processes merge into the parent trace.
+the mechanism by which spans recorded inside the engine's worker
+processes merge into the parent trace.
 """
 
 from __future__ import annotations

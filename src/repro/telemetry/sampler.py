@@ -1,14 +1,13 @@
-"""Worker resource sampling: per-process RSS/CPU and shm segment bytes.
+"""Worker resource sampling: per-process RSS and CPU.
 
 A :class:`ResourceSampler` watches a run *while it executes*: a
 background thread periodically reads ``/proc/<pid>/statm`` and
 ``/proc/<pid>/stat`` for the parent process and every announced engine
-worker, plus the live bytes of the data plane's ``/dev/shm`` segments,
-and publishes everything as ``resource.*`` gauges on the run's
+worker, and publishes everything as ``resource.*`` gauges on the run's
 :class:`~repro.telemetry.recorder.Recorder` — so the metrics exporter
 streams them and a ``--trace`` document archives the peaks.
 
-Attribution: executors announce their worker PIDs through
+Attribution: the executor announces its worker PIDs through
 :func:`announce_workers`; each worker's peak RSS and cumulative CPU land
 under ``resource.worker.<pid>.*`` gauges, and every ``engine.job`` span
 already carries a ``worker`` PID attribute — joining the two tells you
@@ -37,15 +36,11 @@ __all__ = [
     "announced_workers",
     "clear_workers",
     "read_process",
-    "read_shm_bytes",
     "sampling_supported",
 ]
 
 #: Where Linux exposes per-process accounting.
 _PROC = pathlib.Path("/proc")
-
-#: Where ``multiprocessing.shared_memory`` segments live on Linux.
-_SHM_DIR = pathlib.Path("/dev/shm")
 
 
 def _sysconf(name: str, default: int) -> int:
@@ -74,8 +69,7 @@ _WORKERS: set[int] = set()
 def announce_workers(pids: list[int] | set[int] | tuple[int, ...]) -> None:
     """Record engine worker PIDs for any active sampler to watch.
 
-    Called by the process-pool executors right after their workers
-    spawn.  Announcing is unconditional and nearly free (a set update
+    Called by the executor right after its pool's workers spawn.  Announcing is unconditional and nearly free (a set update
     under a lock); when no sampler is running the set is simply never
     read.  PIDs accumulate for the life of the process — a sampler
     skips the ones whose ``/proc`` entries have disappeared.
@@ -127,33 +121,6 @@ def read_process(pid: int) -> dict[str, float] | None:
     return {"rss_bytes": rss_bytes, "cpu_seconds": cpu_seconds}
 
 
-def read_shm_bytes() -> int | None:
-    """Live bytes of the data plane's ``/dev/shm`` segments.
-
-    Sums the sizes of every segment carrying the data plane's name
-    prefix — the *filesystem's* view of segment residency, which the
-    fault-injection suite already uses to prove nothing leaks.  Returns
-    ``None`` where ``/dev/shm`` does not exist.
-    """
-    # Imported lazily: telemetry must not import the engine at module
-    # scope (the engine imports telemetry during package init).
-    from repro.engine.dataplane import SEGMENT_PREFIX
-
-    if not _SHM_DIR.is_dir():
-        return None
-    total = 0
-    try:
-        for entry in _SHM_DIR.iterdir():
-            if entry.name.startswith(SEGMENT_PREFIX):
-                try:
-                    total += entry.stat().st_size
-                except OSError:
-                    continue
-    except OSError:
-        return None
-    return total
-
-
 # ----------------------------------------------------------------------
 # the sampler
 
@@ -183,8 +150,6 @@ class ResourceSampler:
     ``resource.worker.<pid>.rss_peak_bytes`` / ``...cpu_seconds``
         Per-worker attribution keys, joinable against the ``worker``
         attribute on ``engine.job`` spans.
-    ``resource.shm_bytes`` / ``resource.shm_peak_bytes``
-        Live data-plane segment bytes in ``/dev/shm``, and the peak.
 
     A ``resource.samples`` counter tracks how many samples were taken.
     """
@@ -201,7 +166,6 @@ class ResourceSampler:
         self._thread: threading.Thread | None = None
         self._pid = os.getpid()
         self._rss_peak = 0.0
-        self._shm_peak = 0.0
         self._worker_state: dict[int, dict[str, float]] = {}
 
     # -- lifecycle -----------------------------------------------------
@@ -292,12 +256,6 @@ class ResourceSampler:
                     state["rss_peak_bytes"],
                 )
                 gauge(f"resource.worker.{pid}.cpu_seconds", state["cpu_seconds"])
-
-        shm = read_shm_bytes()
-        if shm is not None:
-            self._shm_peak = max(self._shm_peak, float(shm))
-            gauge("resource.shm_bytes", float(shm))
-            gauge("resource.shm_peak_bytes", self._shm_peak)
 
         self.recorder.count("resource.samples")
 

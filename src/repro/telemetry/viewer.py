@@ -169,7 +169,7 @@ def _render_convergence(payloads: list[dict[str, Any]]) -> list[str]:
 def _render_resources(gauges: dict[str, Any]) -> list[str]:
     """The ``resources:`` section from ``resource.*`` gauges, if any.
 
-    Lines: parent RSS peak / CPU, worker aggregate, shm peak, then a
+    Lines: parent RSS peak / CPU, worker aggregate, then a
     per-worker table keyed by the same PIDs the ``engine.job`` spans
     carry in their ``worker`` attribute.
     """
@@ -193,12 +193,6 @@ def _render_resources(gauges: dict[str, Any]) -> list[str]:
             "  workers  rss peak "
             f"{format_bytes(resource['workers.rss_peak_bytes'])}"
             + (f"  cpu {format_seconds(cpu)}" if cpu is not None else "")
-        )
-    if "shm_peak_bytes" in resource:
-        lines.append(
-            "  shm      peak "
-            f"{format_bytes(resource['shm_peak_bytes'])}"
-            f"  (live {format_bytes(resource.get('shm_bytes', 0.0))})"
         )
     workers: dict[str, dict[str, float]] = {}
     for name, value in resource.items():

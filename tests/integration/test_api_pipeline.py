@@ -1,7 +1,7 @@
 """Integration tests: declarative specs through the engine, end to end.
 
 The acceptance bar mirrors the engine's: a component-mode spec run
-under any executor backend (or recovered from cache) is *bit-identical*
+on any number of workers (or recovered from cache) is *bit-identical*
 to the serial run, and the built-in paper specs compile to exactly the
 engine jobs the historical runners emitted.
 """
@@ -12,13 +12,7 @@ import pytest
 from repro.api import ExperimentSpec, builtin_spec, run_spec
 from repro.api.config import SweepConfig
 from repro.data.spectra import two_level_spectrum
-from repro.engine import (
-    Engine,
-    JobSpec,
-    ParallelExecutor,
-    ResultCache,
-    SerialExecutor,
-)
+from repro.engine import Engine, Executor, JobSpec, ResultCache
 
 
 def noise_sweep_spec(**overrides):
@@ -49,9 +43,9 @@ def noise_sweep_spec(**overrides):
 class TestGenericSpecExecution:
     def test_parallel_bit_identical_to_serial(self):
         spec = noise_sweep_spec()
-        serial = run_spec(spec, engine=Engine(SerialExecutor()))
+        serial = run_spec(spec, engine=Engine(Executor()))
         parallel = run_spec(
-            spec, engine=Engine(ParallelExecutor(workers=2))
+            spec, engine=Engine(Executor(workers=2))
         )
         assert parallel.methods == serial.methods
         for label in serial.methods:

@@ -1,14 +1,14 @@
 """Integration tests: experiments through the engine, serial vs parallel.
 
-The acceptance bar for the engine: ``ParallelExecutor(workers=N)``
-produces *bit-identical* ``ExperimentSeries`` to the serial baseline for
+The acceptance bar for the engine: ``Executor(workers=N)`` produces
+*bit-identical* ``ExperimentSeries`` to the serial baseline for
 the same seed, and a cached rerun reproduces the same series without
 executing any job.
 """
 
 import numpy as np
 
-from repro.engine import Engine, ParallelExecutor, ResultCache, SerialExecutor
+from repro.engine import Engine, Executor, ResultCache
 from repro.experiments.ablations import run_ablation_samplesize
 from repro.experiments.config import SweepConfig
 from repro.experiments.runners import (
@@ -30,13 +30,13 @@ def _assert_series_equal(a, b):
 class TestParallelEqualsSerial:
     def test_figure1_bit_identical_across_worker_counts(self):
         serial = run_experiment1_attributes(
-            TINY, attribute_counts=[5, 20], engine=Engine(SerialExecutor())
+            TINY, attribute_counts=[5, 20], engine=Engine(Executor())
         )
         for workers in (2, 3):
             parallel = run_experiment1_attributes(
                 TINY,
                 attribute_counts=[5, 20],
-                engine=Engine(ParallelExecutor(workers=workers)),
+                engine=Engine(Executor(workers=workers)),
             )
             _assert_series_equal(serial, parallel)
 
@@ -44,7 +44,7 @@ class TestParallelEqualsSerial:
         kwargs = dict(profiles=[0.0, 1.0], n_attributes=20, n_principal=10)
         serial = run_experiment4_correlated_noise(TINY, **kwargs)
         parallel = run_experiment4_correlated_noise(
-            TINY, engine=Engine(ParallelExecutor(workers=2)), **kwargs
+            TINY, engine=Engine(Executor(workers=2)), **kwargs
         )
         _assert_series_equal(serial, parallel)
 
@@ -52,7 +52,7 @@ class TestParallelEqualsSerial:
         kwargs = dict(sample_sizes=(150, 400), n_attributes=10, seed=3)
         serial = run_ablation_samplesize(**kwargs)
         parallel = run_ablation_samplesize(
-            engine=Engine(ParallelExecutor(workers=2)), **kwargs
+            engine=Engine(Executor(workers=2)), **kwargs
         )
         _assert_series_equal(serial, parallel)
 
@@ -64,7 +64,7 @@ class TestParallelEqualsSerial:
             n_attributes=20,
             component_counts=(2, 10),
             n_records=500,
-            engine=Engine(ParallelExecutor(workers=2)),
+            engine=Engine(Executor(workers=2)),
         )
         _assert_series_equal(serial, parallel)
 
@@ -80,7 +80,7 @@ class TestCachedRerun:
         assert len(cache) == 4  # 2 points x 2 trials
 
         # Any attempt to execute a job on the rerun is a test failure.
-        class ExplodingExecutor(SerialExecutor):
+        class ExplodingExecutor(Executor):
             def run(self, specs, callback=None):
                 raise AssertionError(
                     f"{len(list(specs))} jobs executed despite warm cache"

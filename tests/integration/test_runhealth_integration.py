@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import Engine, JobSpec, SerialExecutor
+from repro.engine import Engine, Executor, JobSpec
 from repro.telemetry import (
     Recorder,
     build_manifest,
@@ -50,7 +50,7 @@ def _job_specs(n=3, n_records=60, seed_root=13):
 def _traced_document(manifest=None, **kwargs):
     recorder = Recorder()
     with trace.recording(recorder):
-        Engine(executor=SerialExecutor()).run(_job_specs(**kwargs))
+        Engine(executor=Executor()).run(_job_specs(**kwargs))
     document = recorder.to_document(manifest=manifest)
     validate_trace(document)
     return document
@@ -143,7 +143,7 @@ class TestHeartbeatAndResources:
             with run_health(
                 recorder, metrics_path=tmp_path / "m.json", interval=5.0
             ):
-                Engine(executor=SerialExecutor()).run(_job_specs())
+                Engine(executor=Executor()).run(_job_specs())
         document = recorder.to_document()
         validate_trace(document)
         assert document["gauges"]["resource.rss_peak_bytes"] > 0.0
@@ -158,7 +158,7 @@ class TestHeartbeatAndResources:
             with run_health(
                 recorder, metrics_path=tmp_path / "m.json", interval=5.0
             ):
-                Engine(executor=SerialExecutor()).run(_job_specs())
+                Engine(executor=Executor()).run(_job_specs())
         path = str(tmp_path / "m.json")
         assert main(["metrics", path, "--validate"]) == 0
         assert "valid repro-metrics/v1" in capsys.readouterr().out

@@ -2,8 +2,8 @@
 
 Pins the ISSUE's acceptance behaviors: traced runs produce valid
 ``repro-trace/v1`` documents whose per-job spans account for the run
-wall-clock and distinguish cache hits from computed jobs under both
-executors; results stay bit-identical with tracing on; and the CLI
+wall-clock and distinguish cache hits from computed jobs in process
+and on a pool; results stay bit-identical with tracing on; and the CLI
 ``--trace`` / ``repro trace`` round-trip works end to end.
 """
 
@@ -14,10 +14,9 @@ import json
 from repro.api.spec import ExperimentSpec
 from repro.engine import (
     Engine,
+    Executor,
     JobSpec,
-    ParallelExecutor,
     ResultCache,
-    SerialExecutor,
     TraceReporter,
 )
 from repro.telemetry import Recorder, build_manifest, trace, validate_trace
@@ -60,7 +59,7 @@ def _traced_run(executor, cache=None):
 
 class TestTracedEngineRuns:
     def test_serial_jobs_nest_under_run_and_sum_to_wall_clock(self):
-        results, document = _traced_run(SerialExecutor())
+        results, document = _traced_run(Executor())
         jobs = _engine_jobs(document)
         assert len(jobs) == len(results) == 4
         assert all(job["attrs"]["cached"] is False for job in jobs)
@@ -74,7 +73,7 @@ class TestTracedEngineRuns:
         assert job_total >= run["duration"] * 0.5
 
     def test_serial_jobs_contain_pipeline_and_kernel_spans(self):
-        _, document = _traced_run(SerialExecutor())
+        _, document = _traced_run(Executor())
         names = set()
 
         def walk(span):
@@ -99,7 +98,7 @@ class TestTracedEngineRuns:
         )
         recorder = Recorder()
         with trace.recording(recorder):
-            Engine(executor=SerialExecutor()).run([spec])
+            Engine(executor=Executor()).run([spec])
         document = recorder.to_document()
         validate_trace(document)
         [job] = _engine_jobs(document)
@@ -167,8 +166,19 @@ class TestTracedEngineRuns:
             )
         assert traced_data == plain_data
 
+    def test_both_paths_record_the_same_job_and_run_attributes(self):
+        _, in_process = _traced_run(Executor())
+        _, pooled = _traced_run(Executor(workers=2))
+        for document, workers in ((in_process, 1), (pooled, 2)):
+            run = document["spans"][0]
+            assert run["attrs"]["workers"] == workers
+            assert "executor" not in run["attrs"]
+        assert [sorted(job["attrs"]) for job in _engine_jobs(in_process)] == [
+            sorted(job["attrs"]) for job in _engine_jobs(pooled)
+        ]
+
     def test_parallel_worker_fragments_merge_into_parent(self):
-        results, document = _traced_run(ParallelExecutor(workers=2))
+        results, document = _traced_run(Executor(workers=2))
         jobs = _engine_jobs(document)
         assert len(jobs) == 4
         for job in jobs:
@@ -183,15 +193,17 @@ class TestTracedEngineRuns:
         # Worker-side counters merged additively into the parent.
         assert document["counters"]["pipeline.records"] == 4 * 80
 
-    def test_cache_hits_are_distinguished_under_both_executors(self, tmp_path):
+    def test_cache_hits_are_distinguished_in_process_and_pooled(
+        self, tmp_path
+    ):
         cache = ResultCache(tmp_path)
-        first, first_doc = _traced_run(ParallelExecutor(workers=2), cache)
+        first, first_doc = _traced_run(Executor(workers=2), cache)
         assert first_doc["counters"]["cache.write"] == 4
         assert all(
             not job["attrs"]["cached"] for job in _engine_jobs(first_doc)
         )
 
-        second, second_doc = _traced_run(SerialExecutor(), cache)
+        second, second_doc = _traced_run(Executor(), cache)
         hits = _engine_jobs(second_doc)
         assert all(job["attrs"]["cached"] is True for job in hits)
         assert all("original_duration" in job["attrs"] for job in hits)
@@ -199,8 +211,8 @@ class TestTracedEngineRuns:
         assert [r.values for r in second] == [r.values for r in first]
 
     def test_results_bit_identical_with_tracing_on(self):
-        plain = Engine(executor=SerialExecutor()).run(_job_specs())
-        traced, _ = _traced_run(SerialExecutor())
+        plain = Engine(executor=Executor()).run(_job_specs())
+        traced, _ = _traced_run(Executor())
         assert [r.values for r in traced] == [r.values for r in plain]
 
     def test_trace_reporter_rows_join_the_run(self):
@@ -208,7 +220,7 @@ class TestTracedEngineRuns:
         reporter = TraceReporter()
         specs = _job_specs()
         with trace.recording(recorder):
-            Engine(executor=SerialExecutor(), progress=reporter).run(specs)
+            Engine(executor=Executor(), progress=reporter).run(specs)
         assert reporter.total == 4
         assert reporter.elapsed is not None and reporter.cached == 0
         assert {row["key"] for row in reporter.rows} == {
@@ -220,7 +232,7 @@ class TestTracedEngineRuns:
 
     def test_untraced_run_records_nothing(self):
         assert not trace.enabled()
-        results = Engine(executor=ParallelExecutor(workers=2)).run(
+        results = Engine(executor=Executor(workers=2)).run(
             _job_specs()
         )
         assert all(result.trace is None for result in results)
@@ -247,7 +259,7 @@ class TestSpecRunManifest:
         recorder = Recorder()
         reporter = TraceReporter()
         engine = Engine(
-            executor=SerialExecutor(),
+            executor=Executor(),
             cache=ResultCache(tmp_path),
             progress=reporter,
         )

@@ -663,96 +663,6 @@ class TestBareLock:
         assert report.suppressed
 
 
-class TestShmLifecycle:
-    TRIGGER = """
-    from multiprocessing import shared_memory
-
-    def publish(payload):
-        segment = shared_memory.SharedMemory(create=True, size=len(payload))
-        segment.buf[: len(payload)] = payload
-        return segment.name
-    """
-
-    def test_unguarded_creation_triggers(self, tmp_path):
-        report = check_snippet(tmp_path, self.TRIGGER)
-        (finding,) = fired(report, "shm-lifecycle")
-        assert "SharedMemory" in finding.message
-        assert "/dev/shm" in finding.message
-        assert finding.severity == "error"
-        assert not report.ok
-
-    def test_guarded_by_finally_is_clean(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def probe(name):
-                segment = None
-                try:
-                    segment = shared_memory.SharedMemory(name=name)
-                    return bytes(segment.buf[:4])
-                finally:
-                    if segment is not None:
-                        segment.close()
-            """,
-        )
-        assert report.ok
-
-    def test_guarded_by_handler_is_clean(self, tmp_path):
-        # The dataplane shape: creation under an except that closes and
-        # unlinks before re-raising, success path returns the segment.
-        report = check_snippet(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def create(payload):
-                segment = None
-                try:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=len(payload)
-                    )
-                    segment.buf[: len(payload)] = payload
-                    return segment
-                except BaseException:
-                    if segment is not None:
-                        segment.close()
-                        segment.unlink()
-                    raise
-            """,
-        )
-        assert report.ok
-
-    def test_try_without_cleanup_still_triggers(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                try:
-                    return shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:
-                    return None
-            """,
-        )
-        assert fired(report, "shm-lifecycle")
-
-    def test_suppression(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)  # repro: ignore[shm-lifecycle] caller owns close()
-            """,
-        )
-        assert not fired(report, "shm-lifecycle")
-        assert report.suppressed
-
-
 class TestIterHotpath:
     MODULE = "repro.stats.snippet"
 

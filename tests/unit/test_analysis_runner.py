@@ -29,7 +29,6 @@ EXPECTED_RULES = [
     "iter-hotpath",
     "mutable-default",
     "ndarray-eq",
-    "shm-lifecycle",
     "spec-signature",
     "task-pickle",
     "wall-clock",
@@ -37,7 +36,7 @@ EXPECTED_RULES = [
 
 
 class TestRegistry:
-    def test_catalog_holds_the_ten_rules(self):
+    def test_catalog_holds_the_nine_rules(self):
         assert RULES.names() == EXPECTED_RULES
 
     def test_get_unknown_rule_raises(self):

@@ -253,6 +253,24 @@ class TestRunSpecEngineDefaults:
         assert build_engine(jobs=1).cache is None
         assert build_engine(cache=True).cache is not None
 
+    @pytest.mark.parametrize("jobs", [1, 2, 5])
+    def test_jobs_is_the_worker_count(self, jobs):
+        from repro.api.runner import build_engine
+
+        assert build_engine(jobs=jobs).executor.workers == jobs
+
+    def test_zero_jobs_autodetects(self):
+        from repro.api.runner import build_engine
+        from repro.engine.executor import default_worker_count
+
+        assert build_engine(jobs=0).executor.workers == default_worker_count()
+
+    def test_negative_jobs_rejected(self):
+        from repro.api.runner import build_engine
+
+        with pytest.raises(ValidationError, match="workers must be"):
+            build_engine(jobs=-1)
+
 
 class TestRawTaskSeedGuard:
     def test_raw_task_without_seed_rejects_multiple_trials(self):

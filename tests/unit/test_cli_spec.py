@@ -100,6 +100,49 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         assert "invalid spec" in capsys.readouterr().err
 
+    def test_spec_with_backend_field_is_rejected(self, capsys, tmp_path):
+        path = write_spec(tmp_path, backend="parallel")
+        assert main(["run", str(path), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown spec field(s) ['backend']" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_jobs_flag_sets_the_worker_count(self, jobs, tmp_path):
+        from repro.cli import _engine_from_args
+
+        args = build_parser().parse_args(
+            ["run", "spec.json", "--jobs", jobs, "--no-cache"]
+        )
+        engine = _engine_from_args(args)
+        assert engine.executor.workers == int(jobs)
+        assert engine.cache is None
+
+    def test_cache_dir_flag_selects_the_cache(self, tmp_path):
+        from repro.cli import _engine_from_args
+
+        args = build_parser().parse_args(
+            ["run", "spec.json", "--cache-dir", str(tmp_path / "c")]
+        )
+        engine = _engine_from_args(args)
+        assert engine.cache is not None
+        assert engine.executor.workers == 1
+
+    def test_jobs_two_prints_the_same_result(self, capsys, tmp_path):
+        path = write_spec(tmp_path)
+        assert main(["run", str(path), "--no-cache", "--json"]) == 0
+        in_process = json.loads(capsys.readouterr().out)
+        assert main(
+            ["run", str(path), "--no-cache", "--json", "--jobs", "2"]
+        ) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        in_process["stats"].pop("duration", None)
+        pooled["stats"].pop("duration", None)
+        assert pooled == in_process
+
+    def test_backend_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "spec.json", "--backend", "x"])
+
     def test_plot_flag_draws_chart(self, capsys, tmp_path):
         path = write_spec(tmp_path)
         assert main(["run", str(path), "--no-cache", "--plot"]) == 0

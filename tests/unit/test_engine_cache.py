@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import Engine, ParallelExecutor, SerialExecutor
+from repro.engine import Engine, Executor
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.jobs import JobResult, JobSpec
 from repro.exceptions import ValidationError
@@ -99,7 +99,7 @@ class TestResultCache:
 class TestEngineCaching:
     def test_second_run_skips_all_jobs(self, tmp_path):
         specs = [_spec(tmp_path, value) for value in range(4)]
-        engine = Engine(SerialExecutor(), cache=ResultCache(tmp_path / "c"))
+        engine = Engine(Executor(), cache=ResultCache(tmp_path / "c"))
         first = engine.run(specs)
         assert _executions(tmp_path) == 4
         assert all(not result.cached for result in first)
@@ -144,13 +144,14 @@ class TestEngineCaching:
 
     def test_parallel_failure_preserves_completed_chunks(self, tmp_path):
         """Out-of-order completions must reach the cache even when a
-        sibling chunk fails (chunk_size=1: one job per chunk)."""
+        sibling chunk fails (three jobs on two workers: one job per
+        chunk)."""
         cache = ResultCache(tmp_path / "c")
         ok = [_spec(tmp_path, value) for value in (0, 1)]
         bad = JobSpec(
             "tests.unit.test_engine_cache:no_such_task_function", {}
         )
-        executor = ParallelExecutor(workers=2, chunk_size=1)
+        executor = Executor(workers=2)
         with pytest.raises(ValidationError):
             Engine(executor, cache=cache).run([bad] + ok)
         assert len(cache) == 2

@@ -32,7 +32,6 @@ from repro.telemetry.sampler import (
     announced_workers,
     clear_workers,
     read_process,
-    read_shm_bytes,
 )
 
 _LINUX = sampling_supported()
@@ -219,10 +218,6 @@ class TestProcReaders:
     def test_read_dead_process_returns_none(self):
         # PID 2**22+1 exceeds the default pid_max; never a live process.
         assert read_process(4194305) is None
-
-    @pytest.mark.skipif(not _LINUX, reason="needs /dev/shm")
-    def test_shm_bytes_without_segments_is_zero(self):
-        assert read_shm_bytes() == 0
 
     def test_worker_registry_round_trip(self):
         assert announced_workers() == set()

@@ -540,8 +540,6 @@ class TestViewerEdgeCases:
         recorder.gauge("engine.workers", 2.0)
         recorder.gauge("resource.rss_peak_bytes", 64.0 * 1024**2)
         recorder.gauge("resource.cpu_seconds", 1.25)
-        recorder.gauge("resource.shm_peak_bytes", 1024.0**2)
-        recorder.gauge("resource.shm_bytes", 0.0)
         recorder.gauge("resource.worker.123.rss_peak_bytes", 32.0 * 1024**2)
         recorder.gauge("resource.worker.123.cpu_seconds", 0.5)
         text = render_trace(recorder.to_document())
