@@ -1,10 +1,9 @@
 """Built-in experiment specs: the paper's figures and the ablations.
 
 Every experiment this repository reproduces is expressed here as an
-:class:`~repro.api.spec.ExperimentSpec` — the figure runners and
-ablation runners in :mod:`repro.experiments` are thin wrappers that
-build one of these specs and push it through
-:func:`~repro.api.runner.run_spec`.
+:class:`~repro.api.spec.ExperimentSpec`; run one with
+:func:`~repro.api.runner.run_spec`, e.g.
+``run_spec(figure1_spec(config), engine=engine).to_series()``.
 
 The specs compile to *exactly* the engine jobs the historical
 hand-written runners emitted (same task references, same params, same

@@ -1,8 +1,7 @@
 """Experiment configuration and result containers.
 
-(Moved here from ``repro.experiments.config``, which remains as a
-deprecation shim — the sweep knobs and the series container are part of
-the public :mod:`repro.api` surface now.)
+The sweep knobs and the series container are part of the public
+:mod:`repro.api` surface.
 
 Defaults are chosen to reproduce the paper's curve *shapes* at laptop
 scale (the paper does not publish its exact sample counts):

@@ -1,10 +1,12 @@
 """First-class benchmark subsystem behind ``repro bench``.
 
-Times the numerical hot paths (:mod:`repro.bench.hotpaths`) and the full
-figure pipelines through the engine (:mod:`repro.bench.pipelines`),
-emits machine-readable ``BENCH_*.json`` payloads, and compares runs
-against the committed baseline in ``benchmarks/baselines/``.  See
-``docs/benchmarking.md`` for the workflow and payload schema.
+Times the numerical routines no figure runs (:mod:`repro.bench.hotpaths`)
+and the tracing overhead (:mod:`repro.bench.telemetry`), emits
+machine-readable ``BENCH_*.json`` payloads, and compares runs against
+the committed baseline in ``benchmarks/baselines/``.  The figure
+pipelines are timed end to end by ``perfbench``, the benchmark of
+record.  See ``docs/benchmarking.md`` for the workflow and payload
+schema.
 
 Importing this package only loads the registry machinery; the benchmark
 definitions themselves register on import of the two submodules (the CLI

@@ -1,14 +1,15 @@
-"""Micro-benchmarks for the numerical hot paths.
+"""Micro-benchmarks for the numerical routines no figure runs.
 
-Each routine the PR-3 vectorization pass touched (and the BLAS-bound
-paths kept for trajectory) is timed at two scales:
+The figure path (SF, PCA-DR, BE-DR, UDR and scoring on the inputs the
+built-in specs use) is timed end to end and per layer by ``perfbench``;
+the cases here cover the rest — distribution reconstruction, the MAP
+and time-series attacks, density estimation, shrinkage covariance,
+mixture fitting and the breach metrics — each at two scales:
 
 ``smoke``
     Small inputs, sub-second each — the variant CI runs on every push.
 ``large``
-    Paper-scale inputs with ``n_records >= 10^5`` — the regime the
-    acceptance criteria ("at least two hot paths >= 2x faster") are
-    measured in.
+    Inputs with ``n_records >= 10^5``, for local before/after runs.
 
 Setup (data generation, attack construction) happens outside the timed
 callable, so timings isolate the routine itself.  All inputs derive
@@ -32,28 +33,6 @@ def _mixture_sample(n: int, seed: int) -> np.ndarray:
     return np.concatenate(
         [rng.normal(-2.0, 0.6, n_lo), rng.normal(3.0, 1.0, n - n_lo)]
     )
-
-
-def _correlated_table(n: int, m: int, n_principal: int, seed: int):
-    """Correlated (n, m) table + its i.i.d.-noise disguised version."""
-    from repro.data.spectra import two_level_spectrum
-    from repro.randomization.base import NoiseModel
-
-    rng = np.random.default_rng(seed)
-    spectrum = np.asarray(
-        two_level_spectrum(
-            m, n_principal, total_variance=100.0 * m, non_principal_value=4.0
-        )
-    )
-    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    latent = rng.standard_normal((n, m)) * np.sqrt(spectrum)
-    original = latent @ basis.T
-    noise_std = 5.0
-    disguised = original + rng.normal(0.0, noise_std, original.shape)
-    model = NoiseModel(
-        covariance=noise_std**2 * np.eye(m), mean=np.zeros(m)
-    )
-    return original, disguised, model
 
 
 # ----------------------------------------------------------------------
@@ -258,181 +237,6 @@ def _wiener_smoke():
 )
 def _wiener_large():
     return _wiener_setup(200_000, 3, 31, seed=505)
-
-
-# ----------------------------------------------------------------------
-# Spectral filtering + PCA-DR (Section 5 / Section 7.1 eigen paths)
-# ----------------------------------------------------------------------
-def _sf_setup(n: int, m: int, seed: int):
-    from repro.reconstruction.spectral_filtering import (
-        SpectralFilteringReconstructor,
-    )
-
-    _, disguised, model = _correlated_table(n, m, max(m // 10, 2), seed)
-    attack = SpectralFilteringReconstructor()
-
-    def run():
-        return attack.reconstruct(disguised, model)
-
-    return run
-
-
-@register_benchmark(
-    "hotpath.spectral_filtering.smoke",
-    group="hotpath",
-    tags=("smoke",),
-    params={"n_records": 2_000, "m": 20},
-)
-def _sf_smoke():
-    return _sf_setup(2_000, 20, seed=606)
-
-
-@register_benchmark(
-    "hotpath.spectral_filtering.large",
-    group="hotpath",
-    tags=("large",),
-    params={"n_records": 100_000, "m": 50},
-    repeat=3,
-)
-def _sf_large():
-    return _sf_setup(100_000, 50, seed=606)
-
-
-def _pca_setup(n: int, m: int, seed: int):
-    from repro.reconstruction.pca_dr import PCAReconstructor
-
-    _, disguised, model = _correlated_table(n, m, max(m // 10, 2), seed)
-    attack = PCAReconstructor()
-
-    def run():
-        return attack.reconstruct(disguised, model)
-
-    return run
-
-
-@register_benchmark(
-    "hotpath.pca_dr.smoke",
-    group="hotpath",
-    tags=("smoke",),
-    params={"n_records": 2_000, "m": 20},
-)
-def _pca_smoke():
-    return _pca_setup(2_000, 20, seed=707)
-
-
-@register_benchmark(
-    "hotpath.pca_dr.large",
-    group="hotpath",
-    tags=("large",),
-    params={"n_records": 100_000, "m": 50},
-    repeat=3,
-)
-def _pca_large():
-    return _pca_setup(100_000, 50, seed=707)
-
-
-# ----------------------------------------------------------------------
-# The figure attack battery on one dataset (shared statistics)
-# ----------------------------------------------------------------------
-def _battery_setup(n: int, m: int, seed: int):
-    from repro.randomization.base import DisguisedDataset
-    from repro.reconstruction import (
-        BayesEstimateReconstructor,
-        PCAReconstructor,
-        SpectralFilteringReconstructor,
-        UnivariateReconstructor,
-    )
-
-    original, disguised, model = _correlated_table(
-        n, m, max(m // 10, 2), seed
-    )
-    noise = disguised - original
-    battery = (
-        UnivariateReconstructor(prior="gaussian"),
-        SpectralFilteringReconstructor(),
-        PCAReconstructor(),
-        BayesEstimateReconstructor(),
-    )
-
-    def run():
-        # A fresh dataset per run: its statistics are computed once and
-        # shared by the four attacks, as in a figure job.
-        dataset = DisguisedDataset(
-            disguised=disguised, noise_model=model, original=original, noise=noise
-        )
-        return [attack.reconstruct(dataset) for attack in battery]
-
-    return run
-
-
-@register_benchmark(
-    "hotpath.attack_battery.smoke",
-    group="hotpath",
-    tags=("smoke",),
-    params={"n_records": 2_000, "m": 100},
-)
-def _battery_smoke():
-    return _battery_setup(2_000, 100, seed=808)
-
-
-@register_benchmark(
-    "hotpath.attack_battery.large",
-    group="hotpath",
-    tags=("large",),
-    params={"n_records": 100_000, "m": 50},
-    repeat=3,
-)
-def _battery_large():
-    return _battery_setup(100_000, 50, seed=808)
-
-
-# ----------------------------------------------------------------------
-# Scoring one attack: both calls evaluate_attacks makes per attack
-# ----------------------------------------------------------------------
-def _scoring_setup(n: int, m: int, seed: int):
-    from repro.metrics.error import per_attribute_rmse, root_mean_square_error
-    from repro.randomization.base import DisguisedDataset
-    from repro.reconstruction import BayesEstimateReconstructor
-
-    original, disguised, model = _correlated_table(
-        n, m, max(m // 10, 2), seed
-    )
-    dataset = DisguisedDataset(
-        disguised=disguised,
-        noise_model=model,
-        original=original,
-        noise=disguised - original,
-    )
-    result = BayesEstimateReconstructor().reconstruct(dataset)
-
-    def run():
-        return (
-            root_mean_square_error(dataset.original, result),
-            per_attribute_rmse(dataset.original, result),
-        )
-
-    return run
-
-
-@register_benchmark(
-    "hotpath.scoring.smoke",
-    group="hotpath",
-    tags=("smoke",),
-    params={"n_records": 2_000, "m": 100},
-)
-def _scoring_smoke():
-    return _scoring_setup(2_000, 100, seed=909)
-
-
-@register_benchmark(
-    "hotpath.scoring.large",
-    group="hotpath",
-    tags=("large",),
-    params={"n_records": 100_000, "m": 50},
-    repeat=3,
-)
-def _scoring_large():
-    return _scoring_setup(100_000, 50, seed=909)
 
 
 # ----------------------------------------------------------------------

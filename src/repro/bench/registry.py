@@ -9,10 +9,10 @@ without importing anything beyond :mod:`repro.bench`.
 Naming convention
 -----------------
 ``<group>.<path>.<variant>`` — e.g. ``hotpath.em_recon.large`` or
-``pipeline.figure1.smoke``.  The ``smoke`` variants finish in well under
-a second each and are what CI runs (``repro bench --filter smoke``);
-``large`` variants exercise the paper-scale regime (``n_records >=
-10^5``) the PR-3 acceptance criteria are measured at.
+``telemetry.span_overhead.smoke``.  The ``smoke`` variants finish in
+well under a second each and are what CI runs (``repro bench --filter
+smoke``); ``large`` variants run at ``n_records >= 10^5``.  The figure
+pipelines are not cases here: ``perfbench`` times them end to end.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class BenchmarkCase:
         Full dotted name, e.g. ``"hotpath.em_recon.smoke"``.
     group:
         Coarse family — ``"hotpath"`` for micro-benchmarks of a single
-        routine, ``"pipeline"`` for full experiments through the engine.
+        numerical routine, ``"telemetry"`` for tracing-overhead cases.
     setup:
         Zero-argument factory returning the callable to time.  Invoked
         once per benchmark run, outside the timed region.
@@ -52,12 +52,6 @@ class BenchmarkCase:
         Per-case override of the runner's repeat count; ``None`` defers
         to the runner.  Long ``large`` cases set this to keep the full
         suite's wall-clock sane.
-    record_extra:
-        When ``True`` the workload's return value from the final timed
-        run — a JSON-safe dict — is stored as the payload entry's
-        ``extra`` field.  Scaling benchmarks use it to ship structured
-        measurements (per-configuration curves, peak RSS) alongside the
-        headline timing.
     """
 
     name: str
@@ -66,7 +60,6 @@ class BenchmarkCase:
     tags: tuple[str, ...] = ()
     params: dict = field(default_factory=dict)
     repeat: int | None = None
-    record_extra: bool = False
 
     def matches(self, token: str) -> bool:
         """True when ``token`` is a substring of the name or an exact tag."""
@@ -80,7 +73,6 @@ def register_benchmark(
     tags: Iterable[str] = (),
     params: dict | None = None,
     repeat: int | None = None,
-    record_extra: bool = False,
 ):
     """Decorator registering ``setup`` as a benchmark case.
 
@@ -89,7 +81,7 @@ def register_benchmark(
     name:
         Unique dotted name for the case.
     group:
-        ``"hotpath"`` or ``"pipeline"`` (free-form, but those are the
+        ``"hotpath"`` or ``"telemetry"`` (free-form, but those are the
         two the built-in suite uses).
     tags:
         Filter labels; every case should carry ``"smoke"`` or
@@ -98,9 +90,6 @@ def register_benchmark(
         Workload-size metadata stored with every timing.
     repeat:
         Optional per-case repeat override (see :class:`BenchmarkCase`).
-    record_extra:
-        Record the final run's dict return value as the entry's
-        ``extra`` field (see :class:`BenchmarkCase`).
     """
     tag_tuple = tuple(tags)
 
@@ -114,7 +103,6 @@ def register_benchmark(
             tags=tag_tuple,
             params=dict(params or {}),
             repeat=repeat,
-            record_extra=record_extra,
         )
         return setup
 

@@ -32,7 +32,6 @@ json`` — can serve as the reference.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import pathlib
@@ -104,10 +103,9 @@ def time_case(case: BenchmarkCase, *, repeat: int = 3) -> dict:
     with trace.span("bench.case", case=case.name, runs=runs) as span:
         workload()  # warmup: first-call costs (imports, allocator) are not the routine
         timings = []
-        returned: object = None
         for _ in range(runs):
             started = time.perf_counter()
-            returned = workload()
+            workload()
             timings.append(time.perf_counter() - started)
         span.set(seconds_min=min(timings))
         if resources_before is not None:
@@ -129,14 +127,6 @@ def time_case(case: BenchmarkCase, *, repeat: int = 3) -> dict:
                 after["cpu_seconds"] - resources_before["cpu_seconds"], 4
             ),
         }
-    if case.record_extra:
-        if not isinstance(returned, dict):
-            raise ValidationError(
-                f"benchmark {case.name!r} sets record_extra but its "
-                f"workload returned {type(returned).__name__}, expected "
-                "a JSON-safe dict"
-            )
-        entry["extra"] = returned
     return entry
 
 
@@ -182,50 +172,11 @@ def run_benchmarks(
     }
 
 
-def _find_bench_utils() -> pathlib.Path | None:
-    """Locate ``benchmarks/_bench_utils.py`` relative to the CWD.
-
-    Walks from the current directory upward so ``repro bench`` run from
-    a repo subdirectory still lands its copy in ``benchmarks/results/``.
-    Returns ``None`` outside a checkout (installed-package usage).
-    """
-    here = pathlib.Path.cwd().resolve()
-    for candidate in (here, *here.parents):
-        utils = candidate / "benchmarks" / "_bench_utils.py"
-        if utils.is_file():
-            return utils
-    return None
-
-
-def write_payload(payload: dict, json_path) -> list[pathlib.Path]:
-    """Write the payload to ``json_path`` (and mirror into the repo).
-
-    Always writes ``json_path`` itself.  When run inside the repository,
-    the payload is additionally registered through the benchmark suite's
-    existing ``_bench_utils.emit_json`` helper, which persists a copy
-    under ``benchmarks/results/<stem>.json`` and queues it for the
-    pytest-session summary — keeping CLI runs and ``pytest benchmarks/``
-    runs in one results directory.
-
-    Returns the list of paths written.
-    """
+def write_payload(payload: dict, json_path) -> pathlib.Path:
+    """Write the payload to ``json_path`` and return that path."""
     path = pathlib.Path(json_path)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    path.write_text(text + "\n")
-    written = [path]
-
-    utils_path = _find_bench_utils()
-    if utils_path is not None:
-        spec = importlib.util.spec_from_file_location(
-            "_bench_utils", utils_path
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        results_copy = utils_path.parent / "results" / f"{path.stem}.json"
-        if results_copy.resolve() != path.resolve():
-            module.emit_json(path.stem, payload)
-            written.append(results_copy)
-    return written
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def load_payload(json_path) -> dict:
@@ -240,12 +191,19 @@ def load_payload(json_path) -> dict:
 
 
 def default_baseline_path() -> pathlib.Path | None:
-    """The committed baseline, when running inside the repository."""
-    utils = _find_bench_utils()
-    if utils is None:
-        return None
-    candidate = utils.parent / "baselines" / "BENCH_BASELINE.json"
-    return candidate if candidate.is_file() else None
+    """The committed baseline, when running inside the repository.
+
+    Walks from the current directory upward, so ``repro bench`` run from
+    a repo subdirectory still compares against
+    ``benchmarks/baselines/BENCH_BASELINE.json``.  Returns ``None``
+    outside a checkout (installed-package usage).
+    """
+    here = pathlib.Path.cwd().resolve()
+    for directory in (here, *here.parents):
+        candidate = directory / "benchmarks" / "baselines" / "BENCH_BASELINE.json"
+        if candidate.is_file():
+            return candidate
+    return None
 
 
 def _relative_stddev(timings: list) -> float:
@@ -422,7 +380,6 @@ def _main_history(files: list, args) -> int:
 def main_bench(args) -> int:
     """Entry point for the ``repro bench`` subcommand."""
     import repro.bench.hotpaths  # noqa: F401  (registration side effects)
-    import repro.bench.pipelines  # noqa: F401
     import repro.bench.telemetry  # noqa: F401
 
     action = list(getattr(args, "action", []) or [])
@@ -513,8 +470,7 @@ def main_bench(args) -> int:
         print(f"wrote trace {written}", file=sys.stderr)
 
     if args.json is not None:
-        for path in write_payload(payload, args.json):
-            print(f"wrote {path}", file=sys.stderr)
+        print(f"wrote {write_payload(payload, args.json)}", file=sys.stderr)
 
     baseline_path = args.baseline
     if baseline_path is None and not args.no_baseline:

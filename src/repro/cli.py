@@ -241,12 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "bench",
-        help="time the hot paths and figure pipelines",
+        help="time the numerical routines no figure runs",
         description=(
-            "Run the registered benchmarks (hot-path micro-benchmarks "
-            "and full figure pipelines through the engine), print a "
-            "timing table, optionally emit a machine-readable "
-            "BENCH_*.json, and compare against a baseline payload."
+            "Run the registered micro-benchmarks (numerical routines "
+            "no figure runs, and the tracing overhead; perfbench/ "
+            "times the figure pipelines), print a timing table, "
+            "optionally emit a machine-readable BENCH_*.json, and "
+            "compare against a baseline payload."
         ),
     )
     sub.add_argument(

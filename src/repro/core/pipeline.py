@@ -2,8 +2,8 @@
 
 This is the paper's experimental loop (Section 7.1) as a reusable
 object.  Each run produces a :class:`PipelineReport` holding every
-attack's reconstruction error, which the experiment runners aggregate
-into the figures' series.
+attack's reconstruction error, which the built-in specs aggregate into
+the figures' series.
 """
 
 from __future__ import annotations

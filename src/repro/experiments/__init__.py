@@ -1,53 +1,17 @@
-"""Experiment harness regenerating every figure in the paper.
+"""Engine tasks behind the built-in specs, and text rendering of results.
 
-One runner per figure (Section 7's Experiments 1-3 and Section 8.2's
-Experiment 4), plus the Theorem 5.2 verification and the ablations listed
-in DESIGN.md.  Runners return :class:`~repro.api.config.
-ExperimentSeries` objects; :mod:`repro.experiments.reporting` renders them
-as the text tables the benchmarks print.
+:mod:`repro.experiments.tasks` holds the per-job functions the built-in
+:class:`~repro.api.spec.ExperimentSpec` objects (:mod:`repro.api.builtin`)
+compile to — Section 7's Experiments 1-3, Section 8.2's Experiment 4,
+the Theorem 5.2 check and the ablations.  Run a figure with
+:func:`~repro.api.runner.run_spec`, e.g.
+``run_spec(figure1_spec(), engine=engine).to_series()``;
+:mod:`repro.experiments.reporting` and :mod:`repro.experiments.ascii_plot`
+render the resulting :class:`~repro.api.config.ExperimentSeries` as the
+text tables and plots the CLI prints.
 """
 
-from repro.experiments.ablations import (
-    run_ablation_covariance,
-    run_ablation_marginals,
-    run_ablation_samplesize,
-    run_ablation_selection,
-    run_ablation_utility,
-)
 from repro.experiments.ascii_plot import plot_series
-from repro.api.config import (
-    DEFAULT_NOISE_STD,
-    DEFAULT_RECORDS,
-    DEFAULT_VARIANCE_PER_ATTRIBUTE,
-    ExperimentSeries,
-    SweepConfig,
-)
 from repro.experiments.reporting import render_series, series_to_rows
-from repro.experiments.runners import (
-    run_experiment1_attributes,
-    run_experiment2_principal_components,
-    run_experiment3_nonprincipal_eigenvalues,
-    run_experiment4_correlated_noise,
-    run_theorem52_verification,
-)
 
-__all__ = [
-    "run_ablation_covariance",
-    "run_ablation_marginals",
-    "run_ablation_samplesize",
-    "run_ablation_selection",
-    "run_ablation_utility",
-    "plot_series",
-    "DEFAULT_NOISE_STD",
-    "DEFAULT_RECORDS",
-    "DEFAULT_VARIANCE_PER_ATTRIBUTE",
-    "ExperimentSeries",
-    "SweepConfig",
-    "render_series",
-    "series_to_rows",
-    "run_experiment1_attributes",
-    "run_experiment2_principal_components",
-    "run_experiment3_nonprincipal_eigenvalues",
-    "run_experiment4_correlated_noise",
-    "run_theorem52_verification",
-]
+__all__ = ["plot_series", "render_series", "series_to_rows"]

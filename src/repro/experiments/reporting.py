@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment series.
 
-The benchmark harness prints each regenerated figure as an aligned text
-table — the same rows/series the paper plots — so `pytest benchmarks/`
-output doubles as the reproduction record copied into EXPERIMENTS.md.
+The CLI prints each regenerated figure as an aligned text table — the
+same rows/series the paper plots — so a ``repro figureN`` run doubles as
+the reproduction record.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Engine task functions for the figure runners and ablations.
+"""Engine task functions for the built-in figure and ablation specs.
 
 Every function here is one serializable unit of experiment work with the
 engine task signature ``task(params, rng) -> dict`` (see

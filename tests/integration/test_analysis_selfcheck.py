@@ -1,7 +1,7 @@
 """The checker applied to this repository itself.
 
 The merge contract of the static-analysis subsystem: ``repro check``
-over ``src/``, ``benchmarks/``, and ``examples/`` is clean — every real
+over ``src/`` and ``examples/`` is clean — every real
 violation is either fixed or carries a justified inline suppression.
 """
 
@@ -33,8 +33,8 @@ class TestSelfCheck:
         offenders = [f.location() for f in report.active]
         assert report.ok, f"repro check src/ found: {offenders}"
 
-    def test_benchmarks_and_examples_are_clean(self):
-        report = run_check(_tree("benchmarks", "examples"))
+    def test_examples_are_clean(self):
+        report = run_check(_tree("examples"))
         offenders = [f.location() for f in report.active]
         assert report.ok, f"repro check found: {offenders}"
 

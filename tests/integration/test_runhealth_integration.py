@@ -11,6 +11,7 @@ bench payloads into timelines through the CLI.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -192,6 +193,26 @@ class TestBenchHistoryEndToEnd:
         out = capsys.readouterr().out
         assert "bench history: 2 run(s)" in out
         assert "telemetry.span_overhead.smoke" in out
+
+    def test_cli_bench_history_defaults_to_committed_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        committed = json.loads(
+            (repo / "benchmarks/baselines/BENCH_BASELINE.json").read_text()
+        )
+        path, _ = self._payload(tmp_path, "BENCH_A.json", 1)
+        out_path = tmp_path / "history.json"
+        monkeypatch.chdir(repo / "tests")  # a subdirectory of the checkout
+        assert main(
+            ["bench", "history", str(path), "--json", str(out_path)]
+        ) == 0
+        case = json.loads(out_path.read_text())["cases"][
+            "telemetry.span_overhead.smoke"
+        ]
+        assert case["baseline_s"] == committed["benchmarks"][
+            "telemetry.span_overhead.smoke"
+        ]["seconds_min"]
 
     def test_cli_bench_history_without_files_errors(self, capsys):
         assert main(["bench", "history"]) == 2

@@ -1,29 +1,35 @@
-"""Integration tests for the experiment runners' mechanics.
+"""Integration tests for the built-in figure specs' mechanics.
 
-Shape-level claims live in test_paper_claims; these tests cover the
-harness itself: determinism, trial averaging, metadata, and validation.
+Shape-level claims live in test_paper_claims; these tests cover what
+the specs pin through ``run_spec``: determinism, trial averaging,
+metadata, and validation.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.experiments.config import SweepConfig
-from repro.experiments.runners import (
-    run_experiment1_attributes,
-    run_experiment2_principal_components,
-    run_experiment3_nonprincipal_eigenvalues,
-    run_experiment4_correlated_noise,
-    run_theorem52_verification,
+from repro.api import run_spec
+from repro.api.builtin import (
+    figure1_spec,
+    figure2_spec,
+    figure3_spec,
+    figure4_spec,
+    theorem52_spec,
 )
+from repro.api.config import SweepConfig
+from repro.exceptions import ConfigurationError
 
 TINY = SweepConfig(n_records=300, seed=7)
 
 
+def _series(spec):
+    return run_spec(spec).to_series()
+
+
 class TestRunnerMechanics:
     def test_experiment1_deterministic(self):
-        a = run_experiment1_attributes(TINY, attribute_counts=[5, 20])
-        b = run_experiment1_attributes(TINY, attribute_counts=[5, 20])
+        a = _series(figure1_spec(TINY, attribute_counts=[5, 20]))
+        b = _series(figure1_spec(TINY, attribute_counts=[5, 20]))
         for method in a.methods:
             np.testing.assert_array_equal(
                 a.curve(method), b.curve(method)
@@ -32,33 +38,26 @@ class TestRunnerMechanics:
     def test_adding_sweep_points_preserves_existing(self):
         """Spawned per-point RNGs: extending the sweep must not change
         earlier points."""
-        short = run_experiment1_attributes(TINY, attribute_counts=[5, 20])
-        long = run_experiment1_attributes(
-            TINY, attribute_counts=[5, 20, 40]
-        )
+        short = _series(figure1_spec(TINY, attribute_counts=[5, 20]))
+        long = _series(figure1_spec(TINY, attribute_counts=[5, 20, 40]))
         for method in short.methods:
             np.testing.assert_array_equal(
                 short.curve(method), long.curve(method)[:2]
             )
 
     def test_trial_averaging_mechanics(self):
-        single = run_experiment2_principal_components(
-            SweepConfig(n_records=300, n_trials=1, seed=1),
-            principal_counts=[30, 50],
-        )
-        averaged = run_experiment2_principal_components(
-            SweepConfig(n_records=300, n_trials=3, seed=1),
-            principal_counts=[30, 50],
+        one_trial = SweepConfig(n_records=300, n_trials=1, seed=1)
+        three_trials = SweepConfig(n_records=300, n_trials=3, seed=1)
+        single = _series(figure2_spec(one_trial, principal_counts=[30, 50]))
+        averaged = _series(
+            figure2_spec(three_trials, principal_counts=[30, 50])
         )
         # Averaging actually happened (different trials were drawn)...
         assert not np.array_equal(
             single.curve("UDR"), averaged.curve("UDR")
         )
         # ...deterministically.
-        again = run_experiment2_principal_components(
-            SweepConfig(n_records=300, n_trials=3, seed=1),
-            principal_counts=[30, 50],
-        )
+        again = _series(figure2_spec(three_trials, principal_counts=[30, 50]))
         for method in averaged.methods:
             np.testing.assert_array_equal(
                 averaged.curve(method), again.curve(method)
@@ -68,14 +67,16 @@ class TestRunnerMechanics:
         assert np.all(np.abs(averaged.curve("UDR") - single.curve("UDR")) < 1.0)
 
     def test_series_metadata_complete(self):
-        series = run_experiment1_attributes(TINY, attribute_counts=[5, 10])
+        series = _series(figure1_spec(TINY, attribute_counts=[5, 10]))
         assert series.metadata["n_records"] == 300
         assert series.metadata["n_principal"] == 5
         assert series.name == "figure1"
 
     def test_experiment4_dissimilarity_axis_monotone(self):
-        series = run_experiment4_correlated_noise(
-            TINY, profiles=[0.0, 1.0, 2.0], n_attributes=20, n_principal=10
+        series = _series(
+            figure4_spec(
+                TINY, profiles=[0.0, 1.0, 2.0], n_attributes=20, n_principal=10
+            )
         )
         x = series.x_values
         assert np.all(np.diff(x) > -1e-12)
@@ -85,28 +86,24 @@ class TestRunnerMechanics:
 class TestRunnerValidation:
     def test_experiment1_rejects_m_below_p(self):
         with pytest.raises(ConfigurationError):
-            run_experiment1_attributes(
-                TINY, attribute_counts=[3, 10], n_principal=5
+            run_spec(
+                figure1_spec(TINY, attribute_counts=[3, 10], n_principal=5)
             )
 
     def test_experiment2_rejects_bad_p(self):
         with pytest.raises(ConfigurationError):
-            run_experiment2_principal_components(
-                TINY, principal_counts=[0, 10]
-            )
+            run_spec(figure2_spec(TINY, principal_counts=[0, 10]))
 
     def test_experiment3_rejects_eigenvalue_above_principal(self):
         with pytest.raises(ConfigurationError):
-            run_experiment3_nonprincipal_eigenvalues(
-                TINY, eigenvalues=[500.0], principal_value=400.0
+            run_spec(
+                figure3_spec(TINY, eigenvalues=[500.0], principal_value=400.0)
             )
 
     def test_theorem52_rejects_bad_counts(self):
         with pytest.raises(ConfigurationError):
-            run_theorem52_verification(
-                n_attributes=10, component_counts=(0,)
-            )
+            run_spec(theorem52_spec(n_attributes=10, component_counts=(0,)))
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_experiment1_attributes(TINY, attribute_counts=[])
+            run_spec(figure1_spec(TINY, attribute_counts=[]))

@@ -1,27 +1,34 @@
-"""Unit tests for the ablation runners' interfaces and validation.
+"""Unit tests for the built-in ablation specs' interfaces and validation.
 
 Behavioural (shape) assertions live in tests/integration/test_ablations;
-these cover the runner mechanics at tiny scale.
+these cover what the specs produce through ``run_spec`` at tiny scale.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.experiments.ablations import (
-    run_ablation_covariance,
-    run_ablation_marginals,
-    run_ablation_samplesize,
-    run_ablation_selection,
-    run_ablation_utility,
+from repro.api import run_spec
+from repro.api.builtin import (
+    ablation_covariance_spec,
+    ablation_marginals_spec,
+    ablation_samplesize_spec,
+    ablation_selection_spec,
+    ablation_utility_spec,
 )
-from repro.experiments.config import ExperimentSeries
+from repro.api.config import ExperimentSeries
+from repro.exceptions import ConfigurationError
+
+
+def _series(spec):
+    return run_spec(spec).to_series()
 
 
 class TestInterfaces:
     def test_selection_returns_series(self):
-        series = run_ablation_selection(
-            n_attributes=12, n_principal=3, n_records=200, seed=1
+        series = _series(
+            ablation_selection_spec(
+                n_attributes=12, n_principal=3, n_records=200, seed=1
+            )
         )
         assert isinstance(series, ExperimentSeries)
         assert series.name == "ablation-selection"
@@ -29,8 +36,10 @@ class TestInterfaces:
         assert series.x_values.size == 2  # two workloads
 
     def test_covariance_series_shape(self):
-        series = run_ablation_covariance(
-            sample_sizes=(100, 300), n_attributes=10, seed=2
+        series = _series(
+            ablation_covariance_spec(
+                sample_sizes=(100, 300), n_attributes=10, seed=2
+            )
         )
         assert series.x_values.tolist() == [100.0, 300.0]
         assert set(series.methods) == {
@@ -41,14 +50,18 @@ class TestInterfaces:
         }
 
     def test_samplesize_series_shape(self):
-        series = run_ablation_samplesize(
-            sample_sizes=(150, 400), n_attributes=10, seed=3
+        series = _series(
+            ablation_samplesize_spec(
+                sample_sizes=(150, 400), n_attributes=10, seed=3
+            )
         )
         assert series.x_values.tolist() == [150.0, 400.0]
         assert "BE-DR" in series.methods
 
     def test_utility_series_shape(self):
-        series = run_ablation_utility(n_train=600, n_test=400, seed=4)
+        series = _series(
+            ablation_utility_spec(n_train=600, n_test=400, seed=4)
+        )
         assert series.x_values.size == 2  # iid vs correlated
         assert set(series.methods) == {
             "original",
@@ -60,21 +73,27 @@ class TestInterfaces:
             assert np.all((0.0 <= values) & (values <= 1.0))
 
     def test_marginals_series_records_shapes(self):
-        series = run_ablation_marginals(
-            marginals=("normal", "uniform"),
-            n_attributes=10,
-            n_records=300,
-            seed=5,
+        series = _series(
+            ablation_marginals_spec(
+                marginals=("normal", "uniform"),
+                n_attributes=10,
+                n_records=300,
+                seed=5,
+            )
         )
         assert series.metadata["marginals"] == ["normal", "uniform"]
         assert series.x_values.size == 2
 
     def test_deterministic_given_seed(self):
-        a = run_ablation_samplesize(
-            sample_sizes=(150,), n_attributes=8, seed=9
+        a = _series(
+            ablation_samplesize_spec(
+                sample_sizes=(150,), n_attributes=8, seed=9
+            )
         )
-        b = run_ablation_samplesize(
-            sample_sizes=(150,), n_attributes=8, seed=9
+        b = _series(
+            ablation_samplesize_spec(
+                sample_sizes=(150,), n_attributes=8, seed=9
+            )
         )
         for method in a.methods:
             np.testing.assert_array_equal(a.curve(method), b.curve(method))
@@ -83,12 +102,12 @@ class TestInterfaces:
 class TestValidation:
     def test_covariance_rejects_empty_sizes(self):
         with pytest.raises(ConfigurationError):
-            run_ablation_covariance(sample_sizes=())
+            _series(ablation_covariance_spec(sample_sizes=()))
 
     def test_samplesize_rejects_empty_sizes(self):
         with pytest.raises(ConfigurationError):
-            run_ablation_samplesize(sample_sizes=())
+            _series(ablation_samplesize_spec(sample_sizes=()))
 
     def test_marginals_rejects_empty_list(self):
         with pytest.raises(ConfigurationError):
-            run_ablation_marginals(marginals=())
+            _series(ablation_marginals_spec(marginals=()))

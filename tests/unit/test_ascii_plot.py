@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api.config import ExperimentSeries
 from repro.exceptions import ValidationError
 from repro.experiments.ascii_plot import plot_series
-from repro.experiments.config import ExperimentSeries
 
 
 def _series():

@@ -7,18 +7,19 @@ from repro.exceptions import ValidationError
 from repro.mining.association import AprioriMiner, FrequentItemset, MaskScheme
 
 
-def _planted_baskets(n=20000, seed=0):
-    """Baskets over 6 items with a planted frequent pair {0, 1}.
+def _planted_baskets(n=20000, seed=0, supports=(0.4, 0.3, 0.2, 0.05)):
+    """Baskets with a planted frequent pair {0, 1}.
 
     Item 0 appears w.p. 0.5; item 1 copies item 0 w.p. 0.9 (strong
-    association); items 2-5 are independent with decreasing supports.
+    association); one independent item follows per entry of
+    ``supports`` (6 items by default).
     """
     rng = np.random.default_rng(seed)
-    baskets = np.zeros((n, 6), dtype=np.int8)
+    baskets = np.zeros((n, 2 + len(supports)), dtype=np.int8)
     baskets[:, 0] = rng.random(n) < 0.5
     copy = rng.random(n) < 0.9
     baskets[:, 1] = np.where(copy, baskets[:, 0], rng.random(n) < 0.5)
-    for item, support in zip(range(2, 6), (0.4, 0.3, 0.2, 0.05)):
+    for item, support in enumerate(supports, start=2):
         baskets[:, item] = rng.random(n) < support
     return baskets
 
@@ -123,6 +124,35 @@ class TestAprioriMiner:
             for fs in AprioriMiner(0.35).mine_disguised(disguised, scheme)
         }
         assert plain == recovered
+
+    def test_retention_sweep_recovery_and_support_error(self):
+        """Across retention p, gentle randomization (p = 0.95) finds
+        exactly the plain-data itemsets, and the worst support error at
+        the lowest p is no smaller than at the highest."""
+        baskets = _planted_baskets(
+            n=30000, supports=(0.45, 0.4, 0.35, 0.25, 0.15, 0.05)
+        )
+        miner = AprioriMiner(0.3, max_size=3)
+        truth = {fs.items: fs.support for fs in miner.mine_plain(baskets)}
+        worst_error = []
+        for seed, p in ((1, 0.95), (5, 0.6)):
+            scheme = MaskScheme(p)
+            mined = {
+                fs.items: fs.support
+                for fs in miner.mine_disguised(
+                    scheme.disguise(baskets, rng=seed), scheme
+                )
+            }
+            if p == 0.95:
+                assert set(mined) == set(truth)
+            common = set(mined) & set(truth)
+            worst_error.append(
+                max(abs(mined[s] - truth[s]) for s in common)
+                if common
+                else 1.0
+            )
+        assert worst_error[0] < 0.02
+        assert worst_error[-1] >= worst_error[0]
 
     def test_apriori_prune_respects_downward_closure(self):
         baskets = _planted_baskets()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.bench.runner import (
     compare_to_baseline,
     load_payload,
     render_comparison,
+    default_baseline_path,
     render_report,
     run_benchmarks,
     time_case,
@@ -101,32 +103,6 @@ class TestTimeCase:
         with pytest.raises(ValidationError, match="repeat"):
             time_case(case, repeat=0)
 
-    def test_record_extra_captures_final_run_payload(self):
-        case = BenchmarkCase(
-            name="t.extra",
-            group="test",
-            setup=lambda: (lambda: {"curve": [1, 2, 3]}),
-            repeat=1,
-            record_extra=True,
-        )
-        entry = time_case(case)
-        assert entry["extra"] == {"curve": [1, 2, 3]}
-
-    def test_record_extra_requires_dict_payload(self):
-        case = BenchmarkCase(
-            name="t.extra.bad",
-            group="test",
-            setup=lambda: (lambda: 42),
-            repeat=1,
-            record_extra=True,
-        )
-        with pytest.raises(ValidationError, match="record_extra"):
-            time_case(case)
-
-    def test_extra_omitted_by_default(self, scratch_case):
-        entry = time_case(_REGISTRY["test.scratch.smoke"], repeat=1)
-        assert "extra" not in entry
-
 
 class TestRunBenchmarks:
     def test_payload_shape(self, scratch_case):
@@ -150,39 +126,59 @@ class TestRunBenchmarks:
 
 
 class TestPayloadIO:
-    def test_write_and_load_roundtrip(self, scratch_case, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # outside the repo: no mirror copy
+    def test_write_and_load_roundtrip(self, scratch_case, tmp_path):
         payload = run_benchmarks(filter_token="scratch", repeat=1)
         target = tmp_path / "BENCH_test.json"
-        written = write_payload(payload, target)
-        assert written == [target]
+        assert write_payload(payload, target) == target
         loaded = load_payload(target)
         assert loaded["benchmarks"].keys() == payload["benchmarks"].keys()
 
-    def test_write_mirrors_into_repo_results(
+    def test_write_writes_exactly_one_file(
         self, scratch_case, tmp_path, monkeypatch
     ):
-        utils = tmp_path / "benchmarks" / "_bench_utils.py"
-        utils.parent.mkdir()
-        utils.write_text(
-            "import json, pathlib\n"
-            "RESULTS_DIR = pathlib.Path(__file__).parent / 'results'\n"
-            "def emit_json(name, payload):\n"
-            "    RESULTS_DIR.mkdir(exist_ok=True)\n"
-            "    (RESULTS_DIR / f'{name}.json').write_text("
-            "json.dumps(payload))\n"
-        )
+        # Even inside a checkout (a baseline is present), the payload
+        # lands only at the path given.
+        baseline = tmp_path / "benchmarks" / "baselines" / "BENCH_BASELINE.json"
+        baseline.parent.mkdir(parents=True)
+        baseline.write_text("{}")
         monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.rglob("*"))
         payload = run_benchmarks(filter_token="scratch", repeat=1)
-        written = write_payload(payload, tmp_path / "BENCH_mirror.json")
-        assert len(written) == 2
-        assert (tmp_path / "benchmarks/results/BENCH_mirror.json").is_file()
+        target = tmp_path / "BENCH_one.json"
+        write_payload(payload, target)
+        assert set(tmp_path.rglob("*")) - before == {target}
 
     def test_load_rejects_non_payload(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps({"not": "a payload"}))
         with pytest.raises(ValidationError, match="benchmarks"):
             load_payload(bogus)
+
+
+class TestDefaultBaseline:
+    def test_found_from_a_repo_subdirectory(self, tmp_path, monkeypatch):
+        baseline = tmp_path / "benchmarks" / "baselines" / "BENCH_BASELINE.json"
+        baseline.parent.mkdir(parents=True)
+        baseline.write_text("{}")
+        nested = tmp_path / "src" / "repro"
+        nested.mkdir(parents=True)
+        monkeypatch.chdir(nested)
+        assert default_baseline_path() == baseline.resolve()
+
+    def test_none_outside_a_checkout(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert default_baseline_path() is None
+
+    def test_committed_baseline_holds_only_registered_cases(
+        self, monkeypatch
+    ):
+        import repro.bench.hotpaths  # noqa: F401  (case registration)
+        import repro.bench.telemetry  # noqa: F401
+
+        monkeypatch.chdir(pathlib.Path(__file__).parent)
+        baseline = load_payload(default_baseline_path())
+        registered = {case.name for case in iter_benchmarks()}
+        assert set(baseline["benchmarks"]) <= registered
 
 
 class TestCompare:
@@ -225,7 +221,8 @@ class TestBenchCLI:
         assert main(["bench", "--list", "--filter", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "hotpath.em_recon.smoke" in out
-        assert "pipeline.figure1.smoke" in out
+        # The figure pipelines are perfbench's to time, not repro bench's.
+        assert "pipeline." not in out
 
     def test_run_single_benchmark_with_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -245,6 +242,18 @@ class TestBenchCLI:
         assert code == 0
         payload = json.loads(target.read_text())
         assert "hotpath.breach_metrics.smoke" in payload["benchmarks"]
+
+    def test_run_compares_against_committed_baseline_from_subdirectory(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(pathlib.Path(__file__).parent)
+        code = main(
+            ["bench", "--filter", "hotpath.breach_metrics.smoke", "--repeat", "1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "benchmarks/baselines/BENCH_BASELINE.json:" in out
+        assert "no overlapping benchmarks" not in out
 
     def test_unknown_filter_exits_2(self, capsys):
         assert main(["bench", "--filter", "no-such-bench"]) == 2

@@ -1,10 +1,10 @@
-"""Unit tests for repro.experiments.config."""
+"""Unit tests for repro.api.config."""
 
 import numpy as np
 import pytest
 
+from repro.api.config import ExperimentSeries, SweepConfig
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.experiments.config import ExperimentSeries, SweepConfig
 
 
 class TestSweepConfig:
@@ -81,3 +81,10 @@ class TestExperimentSeries:
         )
         assert series.x_values.dtype == np.float64
         assert series.series["UDR"].dtype == np.float64
+
+
+def test_top_level_api_attribute():
+    import repro
+
+    assert repro.api.SweepConfig is SweepConfig
+    assert repro.api.ExperimentSeries is ExperimentSeries

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.covariance_builder import CovarianceModel
-from repro.data.spectra import decaying_spectrum
+from repro.data.spectra import decaying_spectrum, two_level_spectrum
 from repro.exceptions import ValidationError
 from repro.linalg.covariance import (
     covariance_from_disguised,
@@ -130,3 +130,41 @@ class TestEstimatorOption:
                 )
             gains.append(rmse["sample"] - rmse["ledoit-wolf"])
         assert np.mean(gains) > 0.0
+
+    def test_shrinkage_never_meaningfully_helps_on_spiked_spectrum(self):
+        """The other side of A7: on a two-level spectrum clipping already
+        regularizes, and shrinkage biases the spikes down, so Ledoit-Wolf
+        BE-DR never beats the Theorem 5.1 estimate by more than 0.05;
+        the choice washes out at large n."""
+        from repro.data.synthetic import generate_dataset
+        from repro.metrics.error import root_mean_square_error
+        from repro.randomization.additive import AdditiveNoiseScheme
+        from repro.reconstruction.bedr import BayesEstimateReconstructor
+
+        spectrum = two_level_spectrum(
+            40, 5, total_variance=4000.0, non_principal_value=4.0
+        )
+        scheme = AdditiveNoiseScheme(std=5.0)
+        attacks = {
+            estimator: BayesEstimateReconstructor(
+                covariance_estimator=estimator
+            )
+            for estimator in ("sample", "ledoit-wolf")
+        }
+        gaps = []
+        for index, n in enumerate((45, 90, 180, 500, 2000)):
+            rmse = dict.fromkeys(attacks, 0.0)
+            for trial in range(3):
+                dataset = generate_dataset(
+                    spectrum=spectrum, n_records=n, rng=1000 * index + trial
+                )
+                disguised = scheme.disguise(
+                    dataset.values, rng=2000 * index + trial
+                )
+                for estimator, attack in attacks.items():
+                    rmse[estimator] += root_mean_square_error(
+                        dataset.values, attack.reconstruct(disguised)
+                    ) / 3
+            gaps.append(rmse["ledoit-wolf"] - rmse["sample"])
+        assert np.all(np.asarray(gaps) >= -0.05), gaps
+        assert abs(gaps[-1]) < 0.1

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api.config import ExperimentSeries
 from repro.exceptions import ValidationError
-from repro.experiments.config import ExperimentSeries
 from repro.experiments.reporting import render_series, series_to_rows
 
 
