@@ -93,6 +93,7 @@ class IterHotpathRule(Rule):
         "repro.stats",
         "repro.reconstruction",
         "repro.linalg",
+        "repro.metrics",
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:

@@ -273,7 +273,10 @@ def evaluate_attacks(
 ) -> dict[str, AttackOutcome]:
     """Run every attack on a disguised dataset and score it.
 
-    Attacks see only the public view; scoring uses the private original.
+    Attacks see only the public view; scoring uses the private original,
+    passing the dataset so that affine results are scored in closed form
+    from its once-computed Gram quantities (see
+    :mod:`repro.metrics.error`).
 
     With ``fail_fast=False``, an attack that raises does not abort the
     evaluation: its exception is recorded on the outcome (``error`` set,
@@ -304,8 +307,8 @@ def evaluate_attacks(
         with trace.span("pipeline.metrics", attack=name):
             outcomes[name] = AttackOutcome(
                 name=name,
-                rmse=root_mean_square_error(dataset.original, result),
-                attribute_rmse=per_attribute_rmse(dataset.original, result),
+                rmse=root_mean_square_error(dataset, result),
+                attribute_rmse=per_attribute_rmse(dataset, result),
                 result=result,
             )
     return outcomes

@@ -23,10 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.defense import NoiseDesigner
-from repro.core.pipeline import AttackPipeline
+from repro.core.pipeline import AttackPipeline, evaluate_attacks
 from repro.data.copula import GaussianCopulaGenerator
 from repro.data.synthetic import generate_dataset
-from repro.metrics.error import root_mean_square_error
 from repro.mining.naive_bayes import utility_report
 from repro.randomization.additive import AdditiveNoiseScheme
 from repro.randomization.correlated import CorrelatedNoiseScheme
@@ -185,14 +184,8 @@ def ablation_covariance_point(params, rng):
             oracle_covariance=oracle_cov, oracle_mean=dataset.mean
         ),
     }
-    return {
-        "rmse": {
-            name: root_mean_square_error(
-                dataset.values, attack.reconstruct(disguised)
-            )
-            for name, attack in attacks.items()
-        }
-    }
+    outcomes = evaluate_attacks(disguised, attacks)
+    return {"rmse": {name: outcome.rmse for name, outcome in outcomes.items()}}
 
 
 def ablation_samplesize_point(params, rng):

@@ -19,6 +19,7 @@ identical results.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.linalg.psd import psd_inverse
 if TYPE_CHECKING:
     from repro.randomization.base import NoiseModel
 
-__all__ = ["DisguisedStatistics"]
+__all__ = ["DisguisedStatistics", "ReferenceGram"]
 
 
 class DisguisedStatistics:
@@ -108,6 +109,38 @@ class DisguisedStatistics:
             "noise_precision",
             lambda: psd_inverse(self._noise_model.covariance),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceGram:
+    """Gram quantities of the private original ``X`` against ``Y``.
+
+    With ``Xc = X - mean`` and ``Yc = Y - column_means(Y)``: ``mean``
+    (``m``), ``sq_norms = diag(Xc^T Xc)`` (``m``) and ``cross = Xc^T Yc``
+    (``m x m``).  Together with :attr:`DisguisedStatistics.covariance`
+    they score any reconstruction affine in ``Y`` without building it
+    (:mod:`repro.metrics.error`).  They are derived from ``X``, so they
+    live on the dataset's private side, never in
+    :class:`DisguisedStatistics`, which attacks read.
+    """
+
+    mean: np.ndarray
+    sq_norms: np.ndarray
+    cross: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        original: np.ndarray,
+        disguised: np.ndarray,
+        disguised_mean: np.ndarray,
+    ) -> "ReferenceGram":
+        """Compute the three quantities in one pass over each table."""
+        mean = original.mean(axis=0)
+        centred = original - mean
+        sq_norms = np.einsum("ij,ij->j", centred, centred)
+        cross = centred.T @ (disguised - disguised_mean)
+        return cls(*_read_only((mean, sq_norms, cross)))
 
 
 def _read_only(value: Any) -> Any:

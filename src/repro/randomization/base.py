@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.linalg.statistics import DisguisedStatistics
+from repro.linalg.statistics import DisguisedStatistics, ReferenceGram
 from repro.utils.serialization import values_equal
 from repro.utils.validation import check_matrix
 
@@ -118,8 +118,10 @@ class DisguisedDataset:
         The realized perturbation ``R`` (evaluation only).
 
     The attacks' shared inputs (``Cov(Y)``, the Theorem 5.1 estimate,
-    ...) live in :attr:`statistics`, filled on first use; they are not
-    part of equality or of the pickled state.
+    ...) live in :attr:`statistics`, and the scoring side's Gram
+    quantities of ``original`` in :attr:`reference_gram`; both are
+    filled on first use and are not part of equality or of the pickled
+    state.
     """
 
     disguised: np.ndarray
@@ -158,6 +160,7 @@ class DisguisedDataset:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_statistics", None)
+        state.pop("_reference_gram", None)
         return state
 
     @property
@@ -168,6 +171,21 @@ class DisguisedDataset:
             statistics = DisguisedStatistics(self.disguised, self.noise_model)
             object.__setattr__(self, "_statistics", statistics)
         return statistics
+
+    @property
+    def reference_gram(self) -> ReferenceGram:
+        """Gram quantities of :attr:`original` against :attr:`disguised`.
+
+        Private (derived from ``X``): only scoring reads them, once per
+        dataset for every affine attack scored against it.
+        """
+        gram = self.__dict__.get("_reference_gram")
+        if gram is None:
+            gram = ReferenceGram.of(
+                self.original, self.disguised, self.statistics.column_means
+            )
+            object.__setattr__(self, "_reference_gram", gram)
+        return gram
 
     @property
     def n_records(self) -> int:

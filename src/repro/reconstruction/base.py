@@ -11,7 +11,7 @@ error for an attack to peek at the private original data.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +19,94 @@ from repro.exceptions import ValidationError
 from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import DisguisedDataset, NoiseModel
 from repro.utils.serialization import values_equal
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_finite, check_matrix
 
-__all__ = ["ReconstructionResult", "Reconstructor"]
+__all__ = ["AffineMap", "ReconstructionResult", "Reconstructor"]
 
 
 @dataclass(frozen=True, eq=False)
+class AffineMap:
+    """A reconstruction affine in the published table ``Y``.
+
+    ``X_hat = ((Y - center) W + offset) B``, where ``W`` is ``(m, m)`` or
+    a diagonal given as its ``(m,)`` entries, a missing ``center`` is
+    zero and a missing ``outer`` (``B``) is the identity.  A ``(k, m)``
+    ``center`` is subtracted row by row.  :meth:`apply` evaluates the
+    attack's own expression in the attack's own order, so a lazily built
+    estimate has the bits an eager one had.  The ``m``-sized arrays are
+    checked for NaN and infinity here; ``disguised`` is the attack's
+    already validated input and is not rescanned.
+    """
+
+    disguised: np.ndarray
+    weights: np.ndarray
+    offset: np.ndarray
+    center: np.ndarray | None = None
+    outer: np.ndarray | None = None
+
+    def __post_init__(self):
+        m = self.disguised.shape[1]
+        allowed = {
+            "weights": [(m,), (m, m)],
+            "offset": [(m,)],
+            "center": [(m,), np.shape(self.center)[:1] + (m,)],
+            "outer": [(m, m)],
+        }
+        for name, shapes in allowed.items():
+            value = getattr(self, name)
+            if value is None and name in ("center", "outer"):
+                continue
+            if np.shape(value) not in shapes:
+                raise ValidationError(
+                    f"affine {name} has shape {np.shape(value)}, data has "
+                    f"{m} attributes"
+                )
+            check_finite(value, name)
+
+    def apply(self) -> np.ndarray:
+        """The ``(n, m)`` estimate."""
+        estimate = self.disguised
+        if self.center is not None:
+            rows = np.atleast_2d(self.center)
+            estimate = estimate - rows[0]
+            for row in rows[1:]:
+                estimate -= row
+        if self.weights.ndim == 1:
+            estimate = estimate * self.weights
+        else:
+            estimate = estimate @ self.weights
+        estimate += self.offset
+        if self.outer is not None:
+            estimate = estimate @ self.outer
+        return estimate
+
+    def centred(self, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(W, b)`` with ``X_hat = (Y - mean) W + b``.
+
+        ``W`` stays a vector for a diagonal map without ``outer``.
+        """
+        shift = mean
+        if self.center is not None:
+            shift = mean - np.atleast_2d(self.center).sum(axis=0)
+        weights = self.weights
+        offset = shift * weights if weights.ndim == 1 else shift @ weights
+        offset = offset + self.offset
+        if self.outer is not None:
+            if weights.ndim == 1:
+                weights = np.diag(weights)
+            weights = weights @ self.outer
+            offset = offset @ self.outer
+        return weights, offset
+
+
 class ReconstructionResult:
     """Output of a reconstruction attack.
 
     Attributes
     ----------
     estimate:
-        The reconstructed table ``X_hat``, shape ``(n, m)``.
+        The reconstructed table ``X_hat``, shape ``(n, m)``.  An affine
+        result builds it from :attr:`affine` on first read and keeps it.
     method:
         Short name of the attack that produced it (e.g. ``"PCA-DR"``).
     details:
@@ -39,23 +114,54 @@ class ReconstructionResult:
         components PCA-DR retained, or the covariance estimate BE-DR
         used.  Values are small scalars/arrays for reporting; nothing in
         here is needed to interpret ``estimate``.
+    affine:
+        The :class:`AffineMap` of an attack affine in ``Y`` (given
+        instead of ``estimate``), or ``None``.  Scoring against the
+        dataset reads it instead of the ``(n, m)`` estimate (see
+        :mod:`repro.metrics.error`).
     """
 
-    estimate: np.ndarray
-    method: str
-    details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        matrix = check_matrix(self.estimate, "estimate")
-        object.__setattr__(self, "estimate", matrix)
-        if not self.method:
+    def __init__(
+        self,
+        estimate: np.ndarray | None = None,
+        method: str = "",
+        details: dict | None = None,
+        *,
+        affine: AffineMap | None = None,
+    ):
+        if (estimate is None) == (affine is None):
+            raise ValidationError("give exactly one of 'estimate' and 'affine'")
+        if estimate is not None:
+            estimate = check_matrix(estimate, "estimate")
+        elif not isinstance(affine, AffineMap):
+            raise ValidationError(
+                f"'affine' must be an AffineMap, got {type(affine).__name__}"
+            )
+        if not method:
             raise ValidationError("'method' must be a non-empty string")
+        self.__dict__.update(
+            _estimate=estimate,
+            method=method,
+            details={} if details is None else details,
+            affine=affine,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ReconstructionResult is immutable ({name!r})")
+
+    @property
+    def estimate(self) -> np.ndarray:
+        """The ``(n, m)`` reconstruction, built once for an affine result."""
+        estimate = self._estimate
+        if estimate is None:
+            estimate = self.affine.apply()
+            self.__dict__["_estimate"] = estimate
+        return estimate
 
     def __eq__(self, other) -> bool:
-        # The generated dataclass __eq__ would compare ``estimate``
-        # arrays with ``==`` and raise the ambiguous-truth ValueError;
-        # compare element-wise (nan-aware, so round-tripped results with
-        # nan diagnostics still compare equal).
+        # Compare element-wise (nan-aware, so round-tripped results with
+        # nan diagnostics still compare equal); affine results compare
+        # by their estimates.
         if not isinstance(other, ReconstructionResult):
             return NotImplemented
         return (
@@ -67,12 +173,16 @@ class ReconstructionResult:
     @property
     def n_records(self) -> int:
         """Number of reconstructed rows."""
-        return int(self.estimate.shape[0])
+        return int(self._table.shape[0])
 
     @property
     def n_attributes(self) -> int:
         """Number of reconstructed columns."""
-        return int(self.estimate.shape[1])
+        return int(self._table.shape[1])
+
+    @property
+    def _table(self) -> np.ndarray:
+        return self._estimate if self.affine is None else self.affine.disguised
 
     def __repr__(self) -> str:
         return (

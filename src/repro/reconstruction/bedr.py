@@ -33,7 +33,11 @@ from repro.exceptions import ValidationError
 from repro.linalg.psd import psd_inverse
 from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
-from repro.reconstruction.base import ReconstructionResult, Reconstructor
+from repro.reconstruction.base import (
+    AffineMap,
+    ReconstructionResult,
+    Reconstructor,
+)
 from repro.registry import check_spec, register_attack
 from repro.utils.validation import check_symmetric, check_vector
 
@@ -163,11 +167,11 @@ class BayesEstimateReconstructor(Reconstructor):
         posterior_covariance = psd_inverse(posterior_precision)
 
         # x_hat = A^-1 (Sigma_x^-1 mu_x - Sigma_r^-1 mu_r + Sigma_r^-1 y),
-        # vectorized over all n records at once.
+        # vectorized over all n records at once when it is built.
         constant = precision_x @ mu_x - precision_r @ noise_model.mean
-        projected = disguised @ precision_r.T
-        projected += constant
-        estimate = projected @ posterior_covariance.T
+        affine = AffineMap(
+            disguised, precision_r.T, constant, outer=posterior_covariance.T
+        )
 
         # The Gaussian posterior covariance is also the estimator's error
         # covariance, so the model-implied reconstruction MSE per cell is
@@ -176,7 +180,7 @@ class BayesEstimateReconstructor(Reconstructor):
         expected_mse = float(np.trace(posterior_covariance)) / m
 
         return ReconstructionResult(
-            estimate=estimate,
+            affine=affine,
             method=self.name,
             details={
                 "estimated_covariance": sigma_x,

@@ -30,7 +30,11 @@ from repro.exceptions import ValidationError
 from repro.linalg.eigen import sorted_eigh
 from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
-from repro.reconstruction.base import ReconstructionResult, Reconstructor
+from repro.reconstruction.base import (
+    AffineMap,
+    ReconstructionResult,
+    Reconstructor,
+)
 from repro.reconstruction.selection import (
     ComponentSelector,
     LargestGapSelector,
@@ -150,11 +154,10 @@ class PCAReconstructor(Reconstructor):
         projector = decomposition.projector(n_components)
 
         column_means = statistics.column_means
-        estimate = (disguised - column_means) @ projector
-        estimate += column_means
-
         return ReconstructionResult(
-            estimate=estimate,
+            affine=AffineMap(
+                disguised, projector, column_means, center=column_means
+            ),
             method=self.name,
             details={
                 "n_components": n_components,

@@ -29,7 +29,11 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
-from repro.reconstruction.base import ReconstructionResult, Reconstructor
+from repro.reconstruction.base import (
+    AffineMap,
+    ReconstructionResult,
+    Reconstructor,
+)
 from repro.registry import check_spec, register_attack
 from repro.utils.validation import check_in_range, check_positive_int
 
@@ -129,11 +133,10 @@ class SpectralFilteringReconstructor(Reconstructor):
         projector = decomposition.projector(n_signal)
 
         column_means = statistics.column_means
-        estimate = (disguised - column_means) @ projector
-        estimate += column_means
-
         return ReconstructionResult(
-            estimate=estimate,
+            affine=AffineMap(
+                disguised, projector, column_means, center=column_means
+            ),
             method=self.name,
             details={
                 "n_signal": n_signal,

@@ -39,7 +39,11 @@ from repro.exceptions import ValidationError
 from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.randomization.distribution_recon import reconstruct_distribution
-from repro.reconstruction.base import ReconstructionResult, Reconstructor
+from repro.reconstruction.base import (
+    AffineMap,
+    ReconstructionResult,
+    Reconstructor,
+)
 from repro.registry import check_spec, register_attack
 from repro.stats.density import Density, GaussianDensity, UniformDensity
 from repro.utils.validation import check_positive_int
@@ -191,16 +195,17 @@ class UnivariateReconstructor(Reconstructor):
             )
         details: dict = {"prior_mode": self._prior_mode}
         if self._prior_mode == "gaussian":
-            estimate = self._gaussian_posterior_mean(disguised, noise_model)
-        else:
-            estimate = np.empty_like(disguised)
-            for j in range(m):
-                column = disguised[:, j]
-                noise = noise_marginal_density(noise_model, j)
-                prior = self._prior_for(column, noise, j)
-                estimate[:, j] = self._grid_posterior_mean(
-                    column, prior, noise
-                )
+            return ReconstructionResult(
+                affine=self._gaussian_shrinkage(disguised, noise_model),
+                method=self.name,
+                details=details,
+            )
+        estimate = np.empty_like(disguised)
+        for j in range(m):
+            column = disguised[:, j]
+            noise = noise_marginal_density(noise_model, j)
+            prior = self._prior_for(column, noise, j)
+            estimate[:, j] = self._grid_posterior_mean(column, prior, noise)
         return ReconstructionResult(
             estimate=estimate, method=self.name, details=details
         )
@@ -214,14 +219,16 @@ class UnivariateReconstructor(Reconstructor):
         )
 
     @staticmethod
-    def _gaussian_posterior_mean(
+    def _gaussian_shrinkage(
         disguised: np.ndarray, noise_model: NoiseModel
-    ) -> np.ndarray:
+    ) -> AffineMap:
         """Moment-matched Gaussian-prior posterior mean, all columns at once.
 
         Exact for Gaussian noise; for uniform noise the same linear
         shrinkage is the best *linear* estimator (it matches the first
-        two moments), which is the standard benchmark behaviour.
+        two moments), which is the standard benchmark behaviour.  The
+        posterior mean ``mu + s/(s + sigma^2) * (y - noise_mean - mu)``
+        is the diagonal :class:`AffineMap` returned.
 
         The column moments come from a contiguous transposed copy: each
         row of it reduces in the same order as the column alone, so
@@ -231,21 +238,16 @@ class UnivariateReconstructor(Reconstructor):
         columns = np.ascontiguousarray(disguised.T)
         prior_var = np.maximum(columns.var(axis=1) - noise_var, 0.0)
         prior_mean = columns.mean(axis=1) - noise_mean
+        # An attribute with prior_var == 0 is pure noise as far as
+        # moments can tell: its shrinkage is exactly 0, so every
+        # posterior mean collapses to the prior mean.
         shrinkage = prior_var / (prior_var + noise_var)
-        # prior_mean + shrinkage * (y - noise_mean - prior_mean), in place
-        # on one (n, m) buffer.
-        estimate = disguised - noise_mean
-        estimate -= prior_mean
-        estimate *= shrinkage
-        estimate += prior_mean
-        # Exact guard: prior_var is max(..., 0.0), so 0.0 is a computed
-        # sentinel, not an approximate quantity.  Such an attribute is
-        # pure noise as far as moments can tell: every posterior mean
-        # collapses to the prior mean.
-        degenerate = prior_var == 0.0  # repro: ignore[float-eq] degenerate guard
-        if np.any(degenerate):
-            estimate[:, degenerate] = prior_mean[degenerate]
-        return estimate
+        return AffineMap(
+            disguised,
+            shrinkage,
+            prior_mean,
+            center=np.stack([noise_mean, prior_mean]),
+        )
 
     def _grid_posterior_mean(
         self, column: np.ndarray, prior: Density, noise: Density

@@ -795,6 +795,21 @@ class TestIterHotpath:
         )
         assert report.ok
 
+    def test_metrics_module_is_in_scope(self, tmp_path):
+        report = check_snippet(
+            tmp_path,
+            """
+            from repro.telemetry import trace
+
+            def score(columns):
+                for column in columns:
+                    trace.count("metrics.score.fallbacks")
+            """,
+            module="repro.metrics.snippet",
+        )
+        (finding,) = fired(report, "iter-hotpath")
+        assert "trace.count()" in finding.message
+
     def test_out_of_scope_module_is_skipped(self, tmp_path):
         report = check_snippet(
             tmp_path,

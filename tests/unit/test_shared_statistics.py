@@ -348,8 +348,9 @@ class TestCallCounts:
     def test_full_table_finiteness_scans(self, monkeypatch):
         """Scoring does not rescan the tables the dataset already checked.
 
-        The remaining scans: the original in ``disguise``, the three
-        tables of the ``DisguisedDataset`` and each attack's estimate.
+        The remaining scans: the original in ``disguise`` and the three
+        tables of the ``DisguisedDataset``.  The four attacks are affine,
+        so no estimate is built or scanned.
         """
         import repro.utils.validation as validation
 
@@ -372,4 +373,38 @@ class TestCallCounts:
             "noise_std": 5.0,
         }
         two_level_trial(params, np.random.default_rng(2005))
-        assert scans <= 8
+        assert scans <= 4
+
+    def test_figure2_job_materialises_no_estimate(self, monkeypatch):
+        """The four figure attacks are scored from one cross-Gram.
+
+        No ``(n, m)`` estimate is built and ``Xc^T Yc`` is computed once
+        for the job's dataset.  (That the pool stays bit-identical is
+        ``tests/integration/test_worker_parity.py``.)
+        """
+        from repro.linalg.statistics import ReferenceGram
+        from repro.reconstruction.base import AffineMap
+
+        counts = {"apply": 0, "gram": 0}
+        apply, of = AffineMap.apply, ReferenceGram.of.__func__
+
+        def counting_apply(self):
+            counts["apply"] += 1
+            return apply(self)
+
+        def counting_of(cls, *args):
+            counts["gram"] += 1
+            return of(cls, *args)
+
+        monkeypatch.setattr(AffineMap, "apply", counting_apply)
+        monkeypatch.setattr(ReferenceGram, "of", classmethod(counting_of))
+        params = {
+            "spectrum": two_level_spectrum(
+                100, 40, total_variance=10000.0, non_principal_value=4.0
+            ),
+            "n_records": 2000,
+            "noise_std": 5.0,
+        }
+        payload = two_level_trial(params, np.random.default_rng(2005))
+        assert sorted(payload["rmse"]) == ["BE-DR", "PCA-DR", "SF", "UDR"]
+        assert counts == {"apply": 0, "gram": 1}
