@@ -181,7 +181,7 @@ class WallClockRule(Rule):
         "makes every run a cache miss (or, worse, lets two different "
         "computations collide).  Timing belongs in the telemetry layer "
         "(repro.telemetry spans), not in the kernels it observes.  The "
-        "run-health layer (metrics exporter, resource sampler, trace "
+        "run-health layer (resource sampler, watch dashboard, trace "
         "diff, bench history) is held to the same bar for a different "
         "reason: its clock reads must all flow through the sanctioned "
         "repro.telemetry._clock shims so the full set of timestamp "
@@ -205,7 +205,6 @@ class WallClockRule(Rule):
         # Run-health modules: clock reads only through the sanctioned
         # repro.telemetry._clock shims (which are themselves out of
         # scope — they are the one audited touch point).
-        "repro.telemetry.exporter",
         "repro.telemetry.sampler",
         "repro.telemetry.diff",
         "repro.telemetry.history",

@@ -32,6 +32,7 @@ json`` — can serve as the reference.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -43,7 +44,7 @@ import numpy as np
 
 from repro.bench.registry import BenchmarkCase, iter_benchmarks
 from repro.exceptions import ValidationError
-from repro.telemetry import Recorder, build_manifest, trace, write_trace
+from repro.telemetry import build_manifest, trace, traced_run
 from repro.telemetry.sampler import read_process, sampling_supported
 
 __all__ = [
@@ -408,7 +409,14 @@ def main_bench(args) -> int:
             print(f"{case.name:<42} [{tags}] {case.params}")
         return 0
 
+    # The trace manifest's timing table reuses the headline numbers, so
+    # a trace file is self-contained even without the BENCH_*.json.
+    rows: list[dict] = []
+
     def progress(case, entry):
+        rows.append(
+            {"key": case.name, "duration": entry["seconds_min"], "cached": False}
+        )
         print(
             f"{case.name:<42} {entry['seconds_min']:.4f}s "
             f"(mean {entry['seconds_mean']:.4f}s over "
@@ -417,30 +425,18 @@ def main_bench(args) -> int:
         )
 
     trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics", None)
-    recorder = (
-        Recorder()
-        if trace_path is not None or metrics_path is not None
-        else None
+    tracing = (
+        contextlib.nullcontext()
+        if trace_path is None
+        else traced_run(
+            trace_path,
+            manifest=lambda: build_manifest(
+                rows=rows, extra={"command": "bench", "filter": args.filter}
+            ),
+        )
     )
     try:
-        if recorder is not None:
-            from repro.telemetry import run_health
-
-            with trace.recording(recorder):
-                with run_health(
-                    recorder,
-                    metrics_path=metrics_path,
-                    interval=getattr(args, "metrics_interval", 1.0),
-                ):
-                    payload = run_benchmarks(
-                        filter_token=args.filter,
-                        repeat=args.repeat,
-                        progress=progress,
-                    )
-            if metrics_path is not None:
-                print(f"wrote metrics {metrics_path}", file=sys.stderr)
-        else:
+        with tracing:
             payload = run_benchmarks(
                 filter_token=args.filter, repeat=args.repeat, progress=progress
             )
@@ -449,25 +445,8 @@ def main_bench(args) -> int:
         return 2
 
     print(render_report(payload))
-
-    if recorder is not None and trace_path is not None:
-        # The manifest's timing table reuses the headline numbers, so a
-        # trace file is self-contained even without the BENCH_*.json.
-        manifest = build_manifest(
-            rows=[
-                {
-                    "key": name,
-                    "duration": entry["seconds_min"],
-                    "cached": False,
-                }
-                for name, entry in payload["benchmarks"].items()
-            ],
-            extra={"command": "bench", "filter": args.filter},
-        )
-        written = write_trace(
-            recorder.to_document(manifest=manifest), trace_path
-        )
-        print(f"wrote trace {written}", file=sys.stderr)
+    if trace_path is not None:
+        print(f"wrote trace {trace_path}", file=sys.stderr)
 
     if args.json is not None:
         print(f"wrote {write_payload(payload, args.json)}", file=sys.stderr)

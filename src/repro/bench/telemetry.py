@@ -23,9 +23,10 @@ wraps.  Two cases make that budget measurable:
     enabled cost end-to-end and its disabled per-iteration cost.
 
 ``telemetry.em_runhealth.smoke``
-    The same EM fit under the full run-health harness (recorder +
-    metrics exporter + resource sampler), bounding the run-health
-    layer's end-to-end overhead against the disabled case.
+    The same EM fit under the traced-run harness ``--trace`` opens
+    (:func:`~repro.telemetry.stream.traced_run`: a recorder streaming
+    to a temp file, plus the resource sampler), bounding the cost of
+    the everything-on configuration against the disabled case.
 """
 
 from __future__ import annotations
@@ -102,33 +103,25 @@ def bench_em_enabled():
     params={"n_samples": 2000, "n_components": 2},
 )
 def bench_em_runhealth():
-    """The same EM fit under the full run-health harness.
+    """The same EM fit under the traced-run harness.
 
-    Recording plus a live metrics exporter (writing to a temp ring
-    file) plus the resource sampler — the everything-on configuration
-    ``repro run --trace --metrics`` uses.  Comparing this case against
-    ``telemetry.em_disabled.smoke`` bounds the run-health layer's
-    end-to-end overhead; the <2% budget itself is asserted per-tick by
-    ``tests/unit/test_runhealth.py``.
+    A recorder streaming to a temp file plus the resource sampler — the
+    everything-on configuration ``repro run --trace`` uses.  Comparing
+    this case against ``telemetry.em_disabled.smoke`` bounds the traced
+    run's end-to-end overhead; the <2% budget of its periodic work is
+    asserted per second by ``tests/unit/test_runhealth.py``.
     """
     import pathlib
     import tempfile
 
-    from repro.telemetry import Recorder, run_health, trace
+    from repro.telemetry import traced_run
 
     workload = _em_workload()
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-"))
 
     def run():
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with run_health(
-                recorder,
-                metrics_path=tmp / "metrics.json",
-                interval=0.2,
-                sampler_interval=0.1,
-            ):
-                return workload()
+        with traced_run(tmp / "trace.jsonl"):
+            return workload()
 
     return run
 

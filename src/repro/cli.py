@@ -5,13 +5,12 @@ Usage (after ``pip install -e .``)::
     repro run my_sweep.json           # execute a JSON ExperimentSpec
     repro run spec.json --jobs 4      # parallel across 4 worker processes
     repro run spec.json --json        # structured ExperimentResult JSON
-    repro run spec.json --trace t.json  # record spans + run manifest
-    repro run spec.json --metrics m.json  # live metrics ring + .prom text
-    repro trace t.json                # render a recorded trace document
-    repro trace diff a.json b.json    # span-aligned cross-run deltas
-    repro metrics m.json              # inspect a metrics ring file
-    repro watch m.json                # live dashboard tailing the ring
-    repro watch m.json --once         # one deterministic frame (CI logs)
+    repro run spec.json --trace t.jsonl  # stream spans, metrics, manifest
+    repro trace t.jsonl               # render a recorded trace stream
+    repro trace t.jsonl --validate    # check it against repro-trace/v2
+    repro trace diff a.jsonl b.jsonl  # span-aligned cross-run deltas
+    repro watch t.jsonl               # live dashboard tailing the stream
+    repro watch t.jsonl --once        # one deterministic frame (CI logs)
     repro bench history results/*.json  # per-case bench timelines
     repro check src/ --fix-hints      # determinism/parallel-safety lints
     repro check --list-rules          # the registered rule catalog
@@ -58,18 +57,14 @@ from repro.experiments.ascii_plot import plot_series
 from repro.experiments.reporting import render_series
 from repro.registry import ATTACKS, DATASETS, SCHEMES
 from repro.telemetry import (
-    Recorder,
     build_manifest,
     diff_traces,
+    read_trace,
     render_diff,
-    render_openmetrics,
     render_trace,
-    run_health,
-    trace,
-    validate_metrics,
+    traced_run,
     validate_trace,
     watch_loop,
-    write_trace,
 )
 
 __all__ = ["main", "build_parser"]
@@ -133,32 +128,11 @@ def _add_engine_arguments(sub: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help=(
-            "record the run as a repro-trace/v1 JSON document (spans, "
-            "counters, run manifest) at PATH; view it with "
-            "'repro trace PATH'"
+            "stream the run to PATH as it goes, as repro-trace/v2 JSONL "
+            "(spans, counters and gauges, resource samples, run "
+            "manifest); follow it live with 'repro watch PATH', view "
+            "it with 'repro trace PATH'"
         ),
-    )
-    _add_metrics_arguments(sub)
-
-
-def _add_metrics_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help=(
-            "export live run metrics while executing: a repro-metrics/v1 "
-            "JSON ring file at PATH plus an OpenMetrics text sibling "
-            "(PATH with a .prom suffix), refreshed every "
-            "--metrics-interval seconds; view with 'repro metrics PATH'"
-        ),
-    )
-    sub.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds between metrics snapshots (default 1.0)",
     )
 
 
@@ -316,11 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "record per-case bench.case spans to a repro-trace/v1 "
-            "document at PATH"
+            "stream per-case bench.case spans, metrics, and resource "
+            "samples to a repro-trace/v2 JSONL file at PATH"
         ),
     )
-    _add_metrics_arguments(sub)
     sub.add_argument(
         "action",
         nargs="*",
@@ -384,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "trace",
-        help="inspect or diff recorded repro-trace/v1 documents",
+        help="inspect or diff recorded repro-trace/v2 streams",
         description=(
             "Render the span tree, self-time aggregate, slowest-job "
             "chart, and manifest summary of a trace recorded with "
@@ -398,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         "file",
         nargs="+",
         help=(
-            "path to the trace JSON document, or 'diff' followed by "
-            "two trace paths to compare"
+            "path to the trace stream, or 'diff' followed by two "
+            "trace paths to compare"
         ),
     )
     sub.add_argument(
@@ -422,44 +395,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--validate",
         action="store_true",
-        help="check the document against the schema and exit (no render)",
-    )
-
-    sub = subparsers.add_parser(
-        "metrics",
-        help="inspect a repro-metrics/v1 ring file",
-        description=(
-            "Summarize a metrics ring file written by --metrics: "
-            "snapshot count and span, the latest engine progress, and "
-            "the latest snapshot's counters and gauges."
-        ),
-    )
-    sub.add_argument("file", help="path to the metrics JSON document")
-    sub.add_argument(
-        "--validate",
-        action="store_true",
-        help="check the document against the schema and exit (no render)",
-    )
-    sub.add_argument(
-        "--prom",
-        action="store_true",
-        help="print the latest snapshot as OpenMetrics text instead",
+        help="check the stream against the schema and exit (no render)",
     )
 
     sub = subparsers.add_parser(
         "watch",
-        help="live terminal dashboard over a metrics ring file",
+        help="live terminal dashboard over a trace stream",
         description=(
-            "Tail the repro-metrics/v1 ring a running sweep exports "
-            "with --metrics and redraw a dashboard each interval: "
+            "Tail the repro-trace/v2 stream a running sweep writes "
+            "with --trace and redraw a dashboard each interval: "
             "progress bar with rate and ETA, parent/worker RSS, and "
             "the per-kernel convergence state fed by the kernel.* "
-            "heartbeat gauges.  Works equally on a finished ring "
-            "(the final state renders, marked stale); --once prints "
-            "a single frame and exits, for CI logs."
+            "heartbeat gauges.  Works equally on a finished stream "
+            "(the final state renders, marked 'run complete'); --once "
+            "prints a single frame and exits, for CI logs."
         ),
     )
-    sub.add_argument("file", help="path to the metrics JSON ring file")
+    sub.add_argument("file", help="path to the trace stream")
     sub.add_argument(
         "--interval",
         type=float,
@@ -494,41 +446,29 @@ def _engine_from_args(args) -> Engine:
 def _execute_spec(spec, args):
     """Run a spec through the engine, honoring ``--trace`` when given.
 
-    With ``--trace PATH`` the whole run is recorded — engine, pipeline,
-    and kernel spans plus cache counters — and written as a validated
-    ``repro-trace/v1`` document whose manifest joins the spec's seed
-    lineage with the per-job timings collected by a
+    With ``--trace PATH`` the whole run — engine, pipeline, and kernel
+    spans, counters, heartbeat and resource gauges — streams to PATH
+    as it goes (:func:`~repro.telemetry.stream.traced_run`), ending
+    with a manifest that joins the spec's seed lineage with the
+    per-job timings collected by a
     :class:`~repro.engine.progress.TraceReporter`.
     """
     engine = _engine_from_args(args)
     trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics", None)
-    if trace_path is None and metrics_path is None:
+    if trace_path is None:
         return run_spec(spec, engine=engine)
-    recorder = Recorder()
     reporter = TraceReporter(inner=engine.progress)
     engine.progress = reporter
-    # One recorder feeds everything: the trace document, the live
-    # metrics exporter, and the resource sampler's gauges.
-    with trace.recording(recorder):
-        with run_health(
-            recorder,
-            metrics_path=metrics_path,
-            interval=getattr(args, "metrics_interval", 1.0),
-        ):
-            result = run_spec(spec, engine=engine)
-    if metrics_path is not None:
-        print(f"wrote metrics {metrics_path}", file=sys.stderr)
-    if trace_path is not None:
-        manifest = build_manifest(
+    with traced_run(
+        trace_path,
+        manifest=lambda: build_manifest(
             spec=spec,
             rows=reporter.rows,
             extra={"command": "run", "elapsed": reporter.elapsed},
-        )
-        written = write_trace(
-            recorder.to_document(manifest=manifest), trace_path
-        )
-        print(f"wrote trace {written}", file=sys.stderr)
+        ),
+    ):
+        result = run_spec(spec, engine=engine)
+    print(f"wrote trace {trace_path}", file=sys.stderr)
     return result
 
 
@@ -600,25 +540,23 @@ def _run_check(args) -> int:
 
 
 def _load_trace(path: str) -> tuple[dict | None, int]:
-    """Read + validate one trace document; ``(payload, exit_code)``.
+    """Fold + validate one trace stream; ``(payload, exit_code)``.
 
-    Forward-compatibility findings (a document or nested convergence
+    Forward-compatibility findings (a stream or nested convergence
     payload declaring a schema version this build does not know) are
     printed as ``warning:`` lines and do not fail the load.
     """
+    warnings: list[str] = []
     try:
-        payload = json.loads(pathlib.Path(path).read_text())
+        payload = validate_trace(read_trace(path), warnings=warnings)
     except FileNotFoundError:
         print(f"error: trace file not found: {path}", file=sys.stderr)
         return None, 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return None, 2
-    warnings: list[str] = []
-    try:
-        validate_trace(payload, warnings=warnings)
     except ReproError as exc:
-        print(f"error: invalid trace document: {exc}", file=sys.stderr)
+        print(f"error: invalid trace: {exc}", file=sys.stderr)
         return None, 1
     for warning in warnings:
         print(f"warning: {path}: {warning}", file=sys.stderr)
@@ -652,73 +590,14 @@ def _view_trace(args) -> int:
     if payload is None:
         return code
     if args.validate:
-        schema = payload.get("schema", "repro-trace/v1")
-        print(f"{files[0]}: valid {schema} document")
+        print(f"{files[0]}: valid {payload['schema']} stream")
         return 0
     print(render_trace(payload, top=args.top, max_depth=args.depth))
     return 0
 
 
-def _view_metrics(args) -> int:
-    try:
-        payload = json.loads(pathlib.Path(args.file).read_text())
-    except FileNotFoundError:
-        print(f"error: metrics file not found: {args.file}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read metrics: {exc}", file=sys.stderr)
-        return 2
-    warnings: list[str] = []
-    try:
-        validate_metrics(payload, warnings=warnings)
-    except ReproError as exc:
-        print(f"error: invalid metrics document: {exc}", file=sys.stderr)
-        return 1
-    for warning in warnings:
-        print(f"warning: {args.file}: {warning}", file=sys.stderr)
-    if args.validate:
-        schema = payload.get("schema", "repro-metrics/v1")
-        print(f"{args.file}: valid {schema} document")
-        return 0
-    snapshots = payload.get("snapshots") or []
-    if not snapshots:
-        print("metrics ring is empty (run ended before the first tick)")
-        return 0
-    latest = snapshots[-1]
-    if args.prom:
-        print(render_openmetrics(latest), end="")
-        return 0
-    first_ts = float(snapshots[0]["ts_unix"])
-    last_ts = float(latest["ts_unix"])
-    print(
-        f"metrics {payload.get('schema', '?')}: {len(snapshots)} snapshot(s) "
-        f"over {last_ts - first_ts:.1f}s "
-        f"(interval {payload.get('interval_s', 0):g}s, "
-        f"ring {payload.get('ring', '?')})"
-    )
-    progress = latest.get("progress")
-    if progress:
-        parts = [
-            f"{int(progress.get('completed', 0))}/"
-            f"{int(progress.get('total', 0))} jobs",
-            f"{int(progress.get('cached', 0))} cached",
-        ]
-        if "rate_jobs_per_s" in progress:
-            parts.append(f"{progress['rate_jobs_per_s']:.2f} jobs/s")
-        if "eta_s" in progress:
-            parts.append(f"eta {progress['eta_s']:.1f}s")
-        print("progress: " + "  ".join(parts))
-    for section in ("counters", "gauges"):
-        metrics = latest.get(section) or {}
-        if metrics:
-            print(f"{section}:")
-            for name, value in sorted(metrics.items()):
-                print(f"  {name:<40} {value:g}")
-    return 0
-
-
 def _run_watch(args) -> int:
-    """Tail a metrics ring file (the ``watch`` subcommand)."""
+    """Tail a trace stream (the ``watch`` subcommand)."""
     try:
         return watch_loop(
             args.file,
@@ -746,8 +625,6 @@ def main(argv=None) -> int:
         return _run_check(args)
     if args.experiment == "trace":
         return _view_trace(args)
-    if args.experiment == "metrics":
-        return _view_metrics(args)
     if args.experiment == "watch":
         return _run_watch(args)
     if args.experiment == "bench":

@@ -114,9 +114,11 @@ class Engine:
             jobs=total,
             workers=self.executor.workers,
         ) as run_span:
-            # Heartbeat gauges: the live progress surface the metrics
-            # exporter derives rate/ETA from.  Last-value-wins, so a
-            # mid-run snapshot always sees a consistent triple.
+            # Heartbeat gauges: the live progress surface the trace
+            # stream's metrics lines carry and ``repro watch`` derives
+            # rate/ETA from.  Each job completion below ends with one
+            # trace.heartbeat(), which lets a streaming recorder write
+            # a metrics line (at most once a second).
             trace.gauge("engine.jobs.total", float(total))
             trace.gauge("engine.jobs.completed", 0.0)
             trace.gauge("engine.jobs.cached", 0.0)
@@ -141,6 +143,7 @@ class Engine:
                             original_duration=hit.duration,
                         ):
                             pass
+                    trace.heartbeat()
                     self.progress.on_result(hit, completed, total)
                 else:
                     pending.append((index, spec))
@@ -162,6 +165,7 @@ class Engine:
                     # Spans recorded inside a worker process ride back
                     # on the result; graft them under this run's span.
                     trace.adopt(result.trace)
+                    trace.heartbeat()
                     self.progress.on_result(result, completed, total)
 
                 fresh = self.executor.run(

@@ -10,41 +10,43 @@ provides
   recorder is active, so hot kernels stay permanently instrumented;
 * **counters and gauges** (cache hits, jobs dispatched) on the same
   thread-safe :class:`~repro.telemetry.recorder.Recorder`, which
-  serializes everything to a versioned ``repro-trace/v1`` document
-  (:mod:`~repro.telemetry.schema`) and merges fragments shipped back
-  from the engine's worker processes;
+  serializes everything to a versioned ``repro-trace/v2`` document
+  (:mod:`~repro.telemetry.schema`), merges fragments shipped back from
+  the engine's worker processes, and — given a path — streams the run
+  to disk as it goes: one append-only JSONL file per run, the only
+  telemetry artifact (:mod:`~repro.telemetry.stream` records and folds
+  it);
 * **run manifests** (:mod:`~repro.telemetry.manifest`): spec hash, seed
   lineage, git revision, platform, package versions, per-job timings;
 * an ASCII **viewer** (:mod:`~repro.telemetry.viewer`) behind
   ``repro trace <file>``;
-* a **run-health layer**: live metrics export to ``repro-metrics/v1``
-  ring files + OpenMetrics text (:mod:`~repro.telemetry.exporter`),
-  ``/proc``-based worker resource sampling
-  (:mod:`~repro.telemetry.sampler`), cross-run trace diffing
-  (:mod:`~repro.telemetry.diff`), and bench-history timelines
+* a **run-health layer**: ``/proc``-based worker resource sampling
+  (:mod:`~repro.telemetry.sampler`), the live ``repro watch`` dashboard
+  tailing a stream (:mod:`~repro.telemetry.watch`), cross-run trace
+  diffing (:mod:`~repro.telemetry.diff`), and bench-history timelines
   (:mod:`~repro.telemetry.history`);
 * **convergence telemetry**: per-iteration trackers for the iterative
   kernels (:mod:`~repro.telemetry.convergence`), serialized as
   ``repro-convergence/v1`` span payloads and surfaced by the viewer,
-  the diff, the manifests, and the live ``repro watch`` dashboard
-  (:mod:`~repro.telemetry.watch`).
+  the diff, the manifests, and the watch dashboard.
 
 Typical use::
 
-    from repro.telemetry import Recorder, trace
+    from repro.telemetry import read_trace, traced_run
+
+    with traced_run("trace.jsonl", manifest=lambda: build_manifest(spec=spec)):
+        result = run_spec(spec)
+    document = read_trace("trace.jsonl")
+
+or, in memory::
 
     recorder = Recorder()
     with trace.recording(recorder):
-        result = run_spec("sweep.json")
+        result = run_spec(spec)
     document = recorder.to_document(manifest=build_manifest(spec=spec))
 """
 
 from __future__ import annotations
-
-import json
-import os
-import pathlib
-from typing import Any
 
 from repro.telemetry import trace
 from repro.telemetry.convergence import (
@@ -54,12 +56,6 @@ from repro.telemetry.convergence import (
     summarize_payloads,
 )
 from repro.telemetry.diff import diff_traces, render_diff
-from repro.telemetry.exporter import (
-    MetricsExporter,
-    RunHealth,
-    render_openmetrics,
-    run_health,
-)
 from repro.telemetry.history import (
     HISTORY_SCHEMA,
     build_history,
@@ -75,13 +71,14 @@ from repro.telemetry.manifest import (
 )
 from repro.telemetry.recorder import Recorder
 from repro.telemetry.sampler import ResourceSampler, sampling_supported
-from repro.telemetry.schema import (
-    METRICS_SCHEMA,
-    TRACE_SCHEMA,
-    validate_metrics,
-    validate_trace,
-)
+from repro.telemetry.schema import TRACE_SCHEMA, validate_trace
 from repro.telemetry.spans import Span
+from repro.telemetry.stream import (
+    TraceStream,
+    fold_trace,
+    read_trace,
+    traced_run,
+)
 from repro.telemetry.viewer import format_seconds, render_trace, sparkline
 from repro.telemetry.watch import render_watch, watch_loop
 
@@ -90,51 +87,31 @@ __all__ = [
     "HISTORY_SCHEMA",
     "IterationTracker",
     "MANIFEST_KIND",
-    "METRICS_SCHEMA",
-    "MetricsExporter",
     "Recorder",
     "ResourceSampler",
-    "RunHealth",
     "Span",
     "TRACE_SCHEMA",
+    "TraceStream",
     "build_history",
     "build_manifest",
     "collect_payloads",
     "diff_traces",
+    "fold_trace",
     "format_seconds",
     "git_revision",
     "package_versions",
     "platform_info",
+    "read_trace",
     "render_diff",
     "render_history",
-    "render_openmetrics",
     "render_trace",
     "render_watch",
-    "run_health",
     "sampling_supported",
     "sparkline",
     "spec_fingerprint",
     "summarize_payloads",
     "trace",
-    "validate_metrics",
+    "traced_run",
     "validate_trace",
     "watch_loop",
-    "write_trace",
 ]
-
-
-def write_trace(
-    document: dict[str, Any], path: str | os.PathLike[str]
-) -> pathlib.Path:
-    """Validate ``document`` and write it to ``path`` as strict JSON.
-
-    Validation-on-write means every file this function produces is a
-    well-formed ``repro-trace/v1`` document — the same guarantee the
-    ``repro trace --validate`` CI step checks from the outside.
-    """
-    validate_trace(document)
-    target = pathlib.Path(path)
-    target.write_text(
-        json.dumps(document, indent=2, allow_nan=False) + "\n"
-    )
-    return target

@@ -21,8 +21,8 @@ computes them either.  The combined budget is pinned under 2% by the
 ``telemetry.convergence`` bench case and its regression test.
 
 While a fit runs, the tracker also feeds ``kernel.<name>.*`` heartbeat
-gauges and counters into the recorder, which the metrics exporter
-ships to the ring file the ``repro watch`` dashboard tails.
+gauges and counters into the recorder, whose trace stream carries
+them in the ``metrics`` lines the ``repro watch`` dashboard tails.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ CONVERGENCE_SCHEMA = "repro-convergence/v1"
 MAX_TRAJECTORY = 512
 
 #: Condition numbers are capped here so heartbeat gauges stay finite:
-#: both the metrics exporter and the trace writer serialize with
+#: the trace stream serializes its metrics lines with
 #: ``allow_nan=False``.
 CONDITION_CAP = 1e300
 

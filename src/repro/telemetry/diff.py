@@ -1,7 +1,7 @@
 """Cross-run trace diffing: where did the time go *between* two runs.
 
 ``repro trace diff A.json B.json`` aligns the span trees of two
-``repro-trace/v1`` documents and reports, per aligned span, the change
+``repro-trace/v2`` documents and reports, per aligned span, the change
 in duration with self-time attribution — so "the sweep got 40% slower"
 decomposes into "EM iterations in these three jobs" instead of a
 number.  Alignment is structural, not positional: a span's identity is
@@ -148,7 +148,7 @@ def _manifest_delta(
 def diff_traces(
     a_payload: dict[str, Any], b_payload: dict[str, Any]
 ) -> dict[str, Any]:
-    """Structured diff of two ``repro-trace/v1`` documents.
+    """Structured diff of two ``repro-trace/v2`` documents.
 
     Parameters
     ----------

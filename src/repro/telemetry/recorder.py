@@ -1,25 +1,58 @@
-"""The thread-safe in-process trace collector.
+"""The thread-safe trace collector, optionally streaming to disk.
 
 One :class:`Recorder` holds everything a run produces: span trees (one
 stack per thread, so spans started on different threads nest correctly
 and never interleave), monotonic counters, and last-value gauges.  It
-serializes to the versioned ``repro-trace/v1`` document (see
+serializes to the ``repro-trace/v2`` document (see
 :mod:`repro.telemetry.schema`) and can *adopt* serialized fragments —
 the mechanism by which spans recorded inside the engine's worker
 processes merge into the parent trace.
+
+Given a path, the recorder also writes the run to disk *while it
+goes*, as an append-only JSONL stream (one JSON object per line, each
+tagged with a ``kind``):
+
+``header``
+    First line: ``schema`` and ``created_unix``.
+``span``
+    One per closed span: ``id``, ``parent`` (``null`` for a root),
+    ``name``, ``start_unix``, ``duration``, ``attrs``.  Ids are handed
+    out in the order spans open (or are adopted), so sorting siblings
+    by id restores their start order.  An adopted worker fragment is
+    written, span by span, when it is adopted.
+``metrics``
+    ``ts_unix`` plus every counter and gauge.  Written by
+    :meth:`Recorder.heartbeat` — which the engine calls once per job
+    completion — at most once per :data:`METRICS_INTERVAL` seconds,
+    and once more on :meth:`Recorder.close`.
+``end``
+    Last line of a run that finished: ``ts_unix`` and the run
+    ``manifest``.
+
+:func:`repro.telemetry.stream.read_trace` folds the lines back into the
+document :meth:`Recorder.to_document` returns.  Without a path the
+recorder stays in memory (worker processes, tests).
 """
 
 from __future__ import annotations
 
+import itertools
+import json
+import os
 import threading
-import time
-from typing import Any
+from typing import Any, TextIO
 
 from repro.exceptions import ValidationError
+from repro.telemetry._clock import mono_now, wall_now
 from repro.telemetry.schema import TRACE_SCHEMA
 from repro.telemetry.spans import Span
+from repro.utils.serialization import sanitize_for_json
 
-__all__ = ["Recorder"]
+__all__ = ["METRICS_INTERVAL", "Recorder"]
+
+#: Minimum seconds between two ``metrics`` lines written by
+#: :meth:`Recorder.heartbeat`.
+METRICS_INTERVAL = 1.0
 
 
 class Recorder:
@@ -28,16 +61,38 @@ class Recorder:
     Thread model: each thread gets its own span stack (``threading.
     local``), so a span's children are always appended by the thread
     that opened it and need no lock; the shared root list, counters,
-    and gauges are mutated under a single lock.  A span opened on a
-    thread with an empty stack becomes an additional root.
+    gauges, and stream writes are serialized under a single lock.  A
+    span opened on a thread with an empty stack becomes an additional
+    root.
+
+    Parameters
+    ----------
+    path:
+        Where to stream the run as ``repro-trace/v2`` JSONL (truncated
+        on open); ``None`` (default) keeps everything in memory.  A
+        streaming recorder must be closed with :meth:`close`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, path: str | os.PathLike[str] | None = None) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
         self.roots: list[Span] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
+        self._stream: TextIO | None = None
+        # Stream ids of the spans still open (only used when streaming).
+        self._ids: dict[Span, int] = {}
+        self._next_id = itertools.count()
+        self._last_metrics = float("-inf")
+        if path is not None:
+            self._stream = open(path, "w", buffering=1, encoding="utf-8")
+            self._write(
+                {
+                    "kind": "header",
+                    "schema": TRACE_SCHEMA,
+                    "created_unix": wall_now(),
+                }
+            )
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -62,9 +117,13 @@ class Recorder:
         stack = self._stack()
         if stack:
             stack[-1].children.append(span)
+            if self._stream is not None:
+                self._ids[span] = next(self._next_id)
         else:
             with self._lock:
                 self.roots.append(span)
+                if self._stream is not None:
+                    self._ids[span] = next(self._next_id)
         stack.append(span)
         return span
 
@@ -77,7 +136,11 @@ class Recorder:
                 "open span on this thread (unbalanced begin/end nesting)"
             )
         stack.pop()
-        return span.finish()
+        span.finish()
+        if self._stream is not None:
+            parent = self._ids.get(stack[-1]) if stack else None
+            self._write_span(span, self._ids.pop(span), parent)
+        return span
 
     def adopt(self, fragment: dict[str, Any]) -> Span:
         """Graft a serialized trace fragment under the current span.
@@ -87,8 +150,8 @@ class Recorder:
         fragment's span tree becomes a child of the calling thread's
         current span (or a new root), its counters merge additively
         into this recorder's, and its gauges merge last-value-wins —
-        so a worker's ``kernel.*`` convergence heartbeats surface in
-        the parent's metrics ring as each job completes.
+        so a worker's ``kernel.*`` convergence heartbeats reach the
+        next ``metrics`` line as each job completes.
         """
         if not isinstance(fragment, dict):
             raise ValidationError(
@@ -103,6 +166,10 @@ class Recorder:
         else:
             with self._lock:
                 self.roots.append(span)
+        if self._stream is not None:
+            self._write_tree(
+                span, None if parent is None else self._ids.get(parent)
+            )
         for name, value in (fragment.get("counters") or {}).items():
             self.count(name, value)
         for name, value in (fragment.get("gauges") or {}).items():
@@ -122,14 +189,84 @@ class Recorder:
         with self._lock:
             self.gauges[name] = value
 
-    def metrics_view(self) -> tuple[dict[str, float], dict[str, float]]:
-        """Consistent copies of ``(counters, gauges)`` under the lock.
+    # ------------------------------------------------------------------
+    # the stream
 
-        The metrics exporter's read path: a snapshot taken while other
-        threads are counting must never observe a dict mid-mutation.
-        """
+    def _write(self, record: dict[str, Any]) -> None:
+        line = json.dumps(record, allow_nan=False) + "\n"
         with self._lock:
-            return dict(self.counters), dict(self.gauges)
+            if self._stream is not None:
+                self._stream.write(line)
+
+    def _write_span(self, span: Span, span_id: int, parent: int | None) -> None:
+        self._write(
+            {
+                "kind": "span",
+                "id": span_id,
+                "parent": parent,
+                "name": span.name,
+                "start_unix": span.start_unix,
+                "duration": span.duration,
+                "attrs": sanitize_for_json(span.attrs),
+            }
+        )
+
+    def _write_tree(self, span: Span, parent: int | None) -> None:
+        """Stream an adopted subtree, ids allocated in pre-order."""
+        span_id = next(self._next_id)
+        self._write_span(span, span_id, parent)
+        for child in span.children:
+            self._write_tree(child, span_id)
+
+    def write_metrics(self) -> None:
+        """Stream one ``metrics`` line now (no-op when not streaming)."""
+        if self._stream is None:
+            return
+        with self._lock:
+            counters = dict(self.counters)
+            gauges = dict(self.gauges)
+        self._write(
+            {
+                "kind": "metrics",
+                "ts_unix": wall_now(),
+                "counters": counters,
+                "gauges": gauges,
+            }
+        )
+
+    def heartbeat(self) -> None:
+        """Stream a ``metrics`` line unless one went out within
+        :data:`METRICS_INTERVAL` seconds (no-op when not streaming)."""
+        if self._stream is None:
+            return
+        now = mono_now()
+        if now - self._last_metrics < METRICS_INTERVAL:
+            return
+        self._last_metrics = now
+        self.write_metrics()
+
+    def close(
+        self, manifest: dict[str, Any] | None = None, *, complete: bool = True
+    ) -> None:
+        """Finish the stream: a last ``metrics`` line, then the ``end``
+        line carrying ``manifest`` unless ``complete`` is false (a run
+        that failed leaves no ``end`` line).  Idempotent; a no-op for
+        an in-memory recorder."""
+        if self._stream is None:
+            return
+        self.write_metrics()
+        if complete:
+            self._write(
+                {
+                    "kind": "end",
+                    "ts_unix": wall_now(),
+                    "manifest": sanitize_for_json(manifest),
+                }
+            )
+        with self._lock:
+            stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.close()
 
     # ------------------------------------------------------------------
     # serialization
@@ -164,14 +301,14 @@ class Recorder:
     def to_document(
         self, *, manifest: dict[str, Any] | None = None
     ) -> dict[str, Any]:
-        """The full ``repro-trace/v1`` document for this recorder."""
+        """The full ``repro-trace/v2`` document for this recorder."""
         with self._lock:
             spans = [root.to_dict() for root in self.roots]
             counters = dict(self.counters)
             gauges = dict(self.gauges)
         return {
             "schema": TRACE_SCHEMA,
-            "created_unix": time.time(),
+            "created_unix": wall_now(),
             "spans": spans,
             "counters": counters,
             "gauges": gauges,

@@ -4,14 +4,16 @@ A :class:`ResourceSampler` watches a run *while it executes*: a
 background thread periodically reads ``/proc/<pid>/statm`` and
 ``/proc/<pid>/stat`` for the parent process and every announced engine
 worker, and publishes everything as ``resource.*`` gauges on the run's
-:class:`~repro.telemetry.recorder.Recorder` — so the metrics exporter
-streams them and a ``--trace`` document archives the peaks.
+:class:`~repro.telemetry.recorder.Recorder` — so the trace stream's
+``metrics`` lines carry them and its final line archives the peaks.
 
 Attribution: the executor announces its worker PIDs through
 :func:`announce_workers`; each worker's peak RSS and cumulative CPU land
 under ``resource.worker.<pid>.*`` gauges, and every ``engine.job`` span
 already carries a ``worker`` PID attribute — joining the two tells you
-which jobs a memory spike belongs to.
+which jobs a memory spike belongs to.  A sampler attributes a PID only
+once it has read that process alive, so workers of an earlier pool in
+the same process never show up in a later run.
 
 Platform contract: sampling reads the Linux ``/proc`` filesystem.  On
 platforms without it, :func:`sampling_supported` is ``False`` and
@@ -72,7 +74,7 @@ def announce_workers(pids: list[int] | set[int] | tuple[int, ...]) -> None:
     Called by the executor right after its pool's workers spawn.  Announcing is unconditional and nearly free (a set update
     under a lock); when no sampler is running the set is simply never
     read.  PIDs accumulate for the life of the process — a sampler
-    skips the ones whose ``/proc`` entries have disappeared.
+    skips the ones it cannot read alive.
     """
     with _WORKERS_LOCK:
         _WORKERS.update(int(pid) for pid in pids)
@@ -130,8 +132,7 @@ class ResourceSampler:
     Parameters
     ----------
     recorder:
-        The recorder gauges are written to (the same one the run's
-        trace and metrics exporter read).
+        The recorder gauges are written to (the run's trace recorder).
     interval:
         Seconds between samples (default 0.2).
 
@@ -142,7 +143,8 @@ class ResourceSampler:
     ``resource.cpu_seconds``
         Parent-process cumulative CPU (user+system).
     ``resource.workers``
-        Announced worker PIDs still alive.
+        Announced worker PIDs still alive (written once this sampler
+        has read at least one worker alive, like the three below).
     ``resource.workers.rss_bytes`` / ``resource.workers.rss_peak_bytes``
         Sum of live workers' RSS, and the largest single-worker peak.
     ``resource.workers.cpu_seconds``
@@ -228,11 +230,11 @@ class ResourceSampler:
         rss_sum = 0.0
         for pid in sorted(announced_workers()):
             reading = read_process(pid)
+            if reading is None:
+                continue  # gone: keep any peaks recorded while it lived
             state = self._worker_state.setdefault(
                 pid, {"rss_peak_bytes": 0.0, "cpu_seconds": 0.0}
             )
-            if reading is None:
-                continue  # dead worker: keep its recorded peaks
             live += 1
             rss_sum += reading["rss_bytes"]
             state["rss_peak_bytes"] = max(

@@ -1,10 +1,12 @@
-"""The ``repro-trace/v1`` document format and its validator.
+"""The ``repro-trace/v2`` document format and its validator.
 
-A trace document is what ``repro run --trace out.json`` writes and what
-``repro trace out.json`` reads back::
+A trace document is what :meth:`~repro.telemetry.recorder.Recorder.
+to_document` returns and what :func:`~repro.telemetry.stream.read_trace`
+folds a ``repro run --trace out.jsonl`` stream back into (the line
+format is described in :mod:`repro.telemetry.recorder`)::
 
     {
-      "schema": "repro-trace/v1",
+      "schema": "repro-trace/v2",
       "created_unix": 1753800000.0,
       "spans": [ {name, start_unix, duration, attrs, children}, ... ],
       "counters": {"cache.hit": 3, ...},
@@ -19,7 +21,7 @@ once instead of one field per run.
 
 Forward compatibility: a document (or a nested convergence payload)
 declaring a *newer* version of a known schema family — e.g.
-``repro-trace/v2`` read by a ``v1`` build — is not a structural
+``repro-trace/v3`` read by a ``v2`` build — is not a structural
 failure.  The validators record a named warning (``unknown-schema-
 version`` / ``unknown-payload-schema``) into the caller-supplied
 ``warnings`` sink, skip the structural checks that no longer apply,
@@ -37,18 +39,13 @@ from repro.telemetry.convergence import CONVERGENCE_SCHEMA
 
 __all__ = [
     "CONVERGENCE_SCHEMA",
-    "METRICS_SCHEMA",
     "TRACE_SCHEMA",
-    "validate_metrics",
     "validate_trace",
 ]
 
 #: Version tag of the trace document format.  Bump on incompatible
 #: layout changes; the validator only accepts this exact value.
-TRACE_SCHEMA = "repro-trace/v1"
-
-#: Version tag of the live-metrics ring document the exporter writes.
-METRICS_SCHEMA = "repro-metrics/v1"
+TRACE_SCHEMA = "repro-trace/v2"
 
 #: Span fields beyond these are rejected so typos ("durration") cannot
 #: silently ride along in a "valid" document.
@@ -286,7 +283,7 @@ def _check_job_convergence(
 def validate_trace(
     payload: Any, *, warnings: list[str] | None = None
 ) -> dict[str, Any]:
-    """Structurally validate a ``repro-trace/v1`` document.
+    """Structurally validate a ``repro-trace/v2`` document.
 
     Parameters
     ----------
@@ -341,126 +338,6 @@ def validate_trace(
     _check_manifest(payload.get("manifest"), problems)
     if problems:
         raise ValidationError(
-            "invalid repro-trace/v1 document: " + "; ".join(problems)
-        )
-    return payload
-
-
-# ----------------------------------------------------------------------
-# repro-metrics/v1 (the exporter's ring document)
-
-#: Snapshot fields beyond these are rejected — same typo protection the
-#: span validator applies.
-_SNAPSHOT_FIELDS = {"ts_unix", "counters", "gauges", "progress"}
-
-#: Recognized keys of a snapshot's derived ``progress`` block.
-_PROGRESS_FIELDS = {
-    "total",
-    "completed",
-    "cached",
-    "elapsed_s",
-    "rate_jobs_per_s",
-    "eta_s",
-}
-
-
-def _check_snapshot(
-    snapshot: Any, path: str, problems: list[str]
-) -> None:
-    if not isinstance(snapshot, dict):
-        problems.append(
-            f"{path}: snapshot must be a dict, got {type(snapshot).__name__}"
-        )
-        return
-    unknown = sorted(set(snapshot) - _SNAPSHOT_FIELDS)
-    if unknown:
-        problems.append(f"{path}: unknown snapshot field(s) {unknown}")
-    if not _is_number(snapshot.get("ts_unix")):
-        problems.append(f"{path}: 'ts_unix' must be a number")
-    _check_metrics(snapshot, "counters", problems)
-    _check_metrics(snapshot, "gauges", problems)
-    progress = snapshot.get("progress")
-    if progress is None:
-        return
-    if not isinstance(progress, dict):
-        problems.append(f"{path}: 'progress' must be a dict or absent")
-        return
-    unknown = sorted(set(progress) - _PROGRESS_FIELDS)
-    if unknown:
-        problems.append(f"{path}: unknown progress field(s) {unknown}")
-    for field, value in progress.items():
-        if field in _PROGRESS_FIELDS and not _is_number(value):
-            problems.append(
-                f"{path}: progress[{field!r}] must be a number"
-            )
-
-
-def validate_metrics(
-    payload: Any, *, warnings: list[str] | None = None
-) -> dict[str, Any]:
-    """Structurally validate a ``repro-metrics/v1`` ring document.
-
-    Parameters
-    ----------
-    payload:
-        The parsed JSON document.
-    warnings:
-        Optional sink for non-fatal findings; an unknown
-        ``repro-metrics/*`` version appends an
-        ``unknown-schema-version`` entry and skips structural checks
-        (see :func:`validate_trace`).
-
-    Returns
-    -------
-    dict
-        The payload itself, when valid.
-
-    Raises
-    ------
-    ValidationError
-        Listing every structural problem found.
-    """
-    problems: list[str] = []
-    warn_sink = warnings if warnings is not None else []
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"metrics document must be a dict, got {type(payload).__name__}"
-        )
-    schema = payload.get("schema")
-    if schema != METRICS_SCHEMA:
-        if _unknown_family_version(schema, "repro-metrics", METRICS_SCHEMA):
-            warn_sink.append(
-                f"unknown-schema-version: document declares {schema!r}; "
-                f"this build validates {METRICS_SCHEMA!r}, structural "
-                "checks skipped"
-            )
-            return payload
-        problems.append(
-            f"'schema' must be {METRICS_SCHEMA!r}, got {schema!r}"
-        )
-    for field in ("created_unix", "updated_unix"):
-        if not _is_number(payload.get(field)):
-            problems.append(f"'{field}' must be a number")
-    interval = payload.get("interval_s")
-    if not _is_number(interval) or interval <= 0:
-        problems.append("'interval_s' must be a positive number")
-    ring = payload.get("ring")
-    if not isinstance(ring, int) or isinstance(ring, bool) or ring < 1:
-        problems.append("'ring' must be a positive integer")
-    snapshots = payload.get("snapshots")
-    if not isinstance(snapshots, list):
-        problems.append("'snapshots' must be a list")
-    else:
-        if isinstance(ring, int) and not isinstance(ring, bool) and ring >= 1:
-            if len(snapshots) > ring:
-                problems.append(
-                    f"'snapshots' holds {len(snapshots)} entries, more "
-                    f"than the declared ring size {ring}"
-                )
-        for index, snapshot in enumerate(snapshots):
-            _check_snapshot(snapshot, f"snapshots[{index}]", problems)
-    if problems:
-        raise ValidationError(
-            "invalid repro-metrics/v1 document: " + "; ".join(problems)
+            f"invalid {TRACE_SCHEMA} document: " + "; ".join(problems)
         )
     return payload

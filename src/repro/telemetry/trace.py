@@ -41,6 +41,7 @@ __all__ = [
     "count",
     "gauge",
     "adopt",
+    "heartbeat",
     "current_span",
     "iterations",
 ]
@@ -190,6 +191,14 @@ def adopt(fragment: dict[str, Any] | None) -> None:
     recorder = _ACTIVE
     if recorder is not None and fragment is not None:
         recorder.adopt(fragment)
+
+
+def heartbeat() -> None:
+    """Let a streaming recorder write a ``metrics`` line (no-op when
+    disabled; the recorder rate-limits the writes itself)."""
+    recorder = _ACTIVE
+    if recorder is not None:
+        recorder.heartbeat()
 
 
 def current_span() -> Span | None:

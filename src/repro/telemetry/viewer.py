@@ -1,4 +1,4 @@
-"""ASCII rendering of ``repro-trace/v1`` documents.
+"""ASCII rendering of ``repro-trace/v2`` documents.
 
 The ``repro trace <file>`` viewer: a span tree with durations and key
 attributes, a where-did-the-time-go aggregate per span name, a
@@ -24,7 +24,13 @@ from repro.telemetry.convergence import (
 )
 from repro.telemetry.spans import Span
 
-__all__ = ["render_trace", "format_seconds", "format_bytes", "sparkline"]
+__all__ = [
+    "render_trace",
+    "render_resources",
+    "format_seconds",
+    "format_bytes",
+    "sparkline",
+]
 
 #: Glyph ramp shared by every sparkline in the telemetry reports
 #: (viewer, run history, watch dashboard): low value = low glyph.
@@ -166,8 +172,9 @@ def _render_convergence(payloads: list[dict[str, Any]]) -> list[str]:
     return lines
 
 
-def _render_resources(gauges: dict[str, Any]) -> list[str]:
-    """The ``resources:`` section from ``resource.*`` gauges, if any.
+def render_resources(gauges: dict[str, Any]) -> list[str]:
+    """The ``resources:`` section from ``resource.*`` gauges, if any
+    (shared by ``repro trace`` and the ``repro watch`` dashboard).
 
     Lines: parent RSS peak / CPU, worker aggregate, then a
     per-worker table keyed by the same PIDs the ``engine.job`` spans
@@ -286,7 +293,7 @@ def render_trace(
     Parameters
     ----------
     payload:
-        A (validated) ``repro-trace/v1`` document.
+        A (validated) ``repro-trace/v2`` document.
     top:
         How many slowest jobs the bar chart shows.
     max_depth:
@@ -335,7 +342,7 @@ def render_trace(
                 for name, value in sorted(plain_gauges.items())
             )
         )
-    lines.extend(_render_resources(gauges))
+    lines.extend(render_resources(gauges))
 
     if not roots:
         lines.append("")

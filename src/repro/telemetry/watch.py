@@ -1,24 +1,26 @@
-"""Live run dashboard: tail a ``repro-metrics/v1`` ring in the terminal.
+"""Live run dashboard: tail a ``repro-trace/v2`` stream in the terminal.
 
-``repro watch run-metrics.json`` renders the newest snapshot of the
-metrics ring the exporter rewrites every tick — progress bar, job rate
-and ETA, worker RSS, and a per-kernel convergence table fed by the
-``kernel.*`` heartbeat gauges the iteration trackers publish — then
-redraws on an interval until the ring stops advancing.  Everything is
-derived from the on-disk document, so the dashboard attaches to any
-running sweep (same host or a copied file) without touching the run.
+``repro watch trace.jsonl`` folds the stream a traced run is appending
+to (:func:`~repro.telemetry.stream.fold_trace`) and renders it —
+progress bar, job rate and ETA, worker RSS, and a per-kernel
+convergence table fed by the ``kernel.*`` heartbeat gauges — then
+redraws on an interval.  Progress, rate, and the rate and objective
+trends come from the stream's ``metrics`` lines; the staleness label
+from the time of its last line; "run complete" from its ``end`` line.
+Everything is derived from the on-disk file, so the dashboard attaches
+to any running sweep (same host or a copied file) without touching the
+run.
 
-:func:`render_watch` is a pure function of the document (plus an
-explicit "now" timestamp), which is what the tests pin and what
-``repro watch --once`` prints for CI logs; :func:`watch_loop` adds the
-redraw loop around it.  Clock reads flow through the sanctioned
+:func:`render_watch` is a pure function of the fold (plus an explicit
+"now" timestamp), which is what the tests pin and what ``repro watch
+--once`` prints for CI logs; :func:`watch_loop` adds the redraw loop
+around it.  Clock reads flow through the sanctioned
 :mod:`repro.telemetry._clock` shims (the ``wall-clock`` check rule
 covers this module).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -26,93 +28,57 @@ from typing import Any, TextIO
 
 from repro.exceptions import ValidationError
 from repro.telemetry._clock import wall_now
-from repro.telemetry.viewer import format_bytes, format_seconds, sparkline
+from repro.telemetry.stream import TraceStream, fold_trace
+from repro.telemetry.viewer import format_seconds, render_resources, sparkline
 
 __all__ = ["render_watch", "watch_loop"]
 
-#: A ring whose ``updated_unix`` is older than this many seconds is
-#: labelled stale (the run finished, died, or the file is a copy).
+#: An unfinished stream whose last line is older than this many seconds
+#: is labelled stale (the run died, or the file is a copy).
 STALE_AFTER = 10.0
 
 #: Progress bar width in characters.
 _BAR_WIDTH = 30
 
 
-def _latest(document: dict[str, Any]) -> dict[str, Any]:
-    """The newest snapshot in the ring (empty dict when none)."""
-    snapshots = document.get("snapshots")
-    if isinstance(snapshots, list) and snapshots:
-        last = snapshots[-1]
-        if isinstance(last, dict):
-            return last
-    return {}
-
-
-def _progress_lines(document: dict[str, Any]) -> list[str]:
-    """Progress bar, rate + ETA, and the rate trend over the ring."""
-    latest = _latest(document)
-    progress = latest.get("progress")
-    if not isinstance(progress, dict):
+def _progress_lines(metrics: list[dict[str, Any]]) -> list[str]:
+    """Progress bar, rate + ETA, and the rate trend over the stream."""
+    points = [
+        (
+            float(line["ts_unix"]),
+            float(line["gauges"]["engine.jobs.total"]),
+            float(line["gauges"].get("engine.jobs.completed", 0.0)),
+            float(line["gauges"].get("engine.jobs.cached", 0.0)),
+        )
+        for line in metrics
+        if "engine.jobs.total" in line["gauges"]
+    ]
+    if not points:
         return []
-    total = float(progress.get("total", 0.0))
-    completed = float(progress.get("completed", 0.0))
-    cached = float(progress.get("cached", 0.0))
+    # Rate between consecutive metrics lines; a drop in the completed
+    # count means a new engine run started, which has no rate yet.
+    rates = [
+        (done_b - done_a) / (ts_b - ts_a)
+        for (ts_a, _, done_a, _), (ts_b, _, done_b, _) in zip(
+            points, points[1:]
+        )
+        if ts_b > ts_a and done_b >= done_a
+    ]
+    _, total, completed, cached = points[-1]
     fraction = min(max(completed / total, 0.0), 1.0) if total > 0 else 0.0
     filled = round(fraction * _BAR_WIDTH)
     bar = "#" * filled + "." * (_BAR_WIDTH - filled)
     line = (
         f"  [{bar}] {completed:.0f}/{total:.0f} jobs "
-        f"({cached:.0f} cached)"
+        f"({fraction:.0%}, {cached:.0f} cached)"
     )
-    rate = progress.get("rate_jobs_per_s")
-    if isinstance(rate, (int, float)):
-        line += f"  {float(rate):.1f} jobs/s"
-    eta = progress.get("eta_s")
-    if isinstance(eta, (int, float)) and completed < total:
-        line += f"  eta {format_seconds(float(eta))}"
-    lines = ["", "progress:", line]
-    rates = [
-        float(snap["progress"]["rate_jobs_per_s"])
-        for snap in document.get("snapshots", [])
-        if isinstance(snap, dict)
-        and isinstance(snap.get("progress"), dict)
-        and isinstance(
-            snap["progress"].get("rate_jobs_per_s"), (int, float)
-        )
-    ]
     if rates:
+        line += f"  {rates[-1]:.1f} jobs/s"
+        if rates[-1] > 0 and completed < total:
+            line += f"  eta {format_seconds((total - completed) / rates[-1])}"
+    lines = ["", "progress:", line]
+    if len(rates) > 1:
         lines.append(f"  rate trend  {sparkline(rates, width=_BAR_WIDTH)}")
-    if total > 0 and completed >= total:
-        lines.append("  run complete")
-    return lines
-
-
-def _resource_lines(gauges: dict[str, Any]) -> list[str]:
-    """Parent / worker RSS and CPU from the ``resource.*`` gauges."""
-    lines: list[str] = []
-    rss = gauges.get("resource.rss_bytes")
-    peak = gauges.get("resource.rss_peak_bytes")
-    if isinstance(peak, (int, float)):
-        live = (
-            f"{format_bytes(float(rss))} live, "
-            if isinstance(rss, (int, float))
-            else ""
-        )
-        lines.append(f"  parent   rss {live}peak {format_bytes(float(peak))}")
-    workers_peak = gauges.get("resource.workers.rss_peak_bytes")
-    if isinstance(workers_peak, (int, float)):
-        count = sum(
-            1
-            for name in gauges
-            if name.startswith("resource.worker.")
-            and name.endswith(".rss_peak_bytes")
-        )
-        suffix = f" across {count} worker(s)" if count else ""
-        lines.append(
-            f"  workers  rss peak {format_bytes(float(workers_peak))}{suffix}"
-        )
-    if lines:
-        lines = ["", "resources:"] + lines
     return lines
 
 
@@ -133,32 +99,11 @@ def _kernel_rows(
     return rows
 
 
-def _objective_series(
-    document: dict[str, Any], kernel: str
-) -> list[float]:
-    """One kernel's objective-gauge series across the ring."""
-    name = f"kernel.{kernel}.objective"
-    series: list[float] = []
-    for snap in document.get("snapshots", []):
-        if not isinstance(snap, dict):
-            continue
-        snap_gauges = snap.get("gauges")
-        if isinstance(snap_gauges, dict):
-            value = snap_gauges.get(name)
-            if isinstance(value, (int, float)):
-                series.append(float(value))
-    return series
-
-
-def _kernel_lines(document: dict[str, Any]) -> list[str]:
+def _kernel_lines(metrics: list[dict[str, Any]]) -> list[str]:
     """The per-kernel convergence table from the heartbeat metrics."""
-    latest = _latest(document)
-    counters = latest.get("counters")
-    gauges = latest.get("gauges")
-    rows = _kernel_rows(
-        counters if isinstance(counters, dict) else {},
-        gauges if isinstance(gauges, dict) else {},
-    )
+    if not metrics:
+        return []
+    rows = _kernel_rows(metrics[-1]["counters"], metrics[-1]["gauges"])
     if not rows:
         return []
     lines = ["", "kernels:"]
@@ -183,8 +128,14 @@ def _kernel_lines(document: dict[str, Any]) -> list[str]:
             state = "fitting"
         else:
             state = "ok"
+        name = f"kernel.{kernel}.objective"
         trend = sparkline(
-            _objective_series(document, kernel), width=_BAR_WIDTH
+            [
+                float(line["gauges"][name])
+                for line in metrics
+                if isinstance(line["gauges"].get(name), (int, float))
+            ],
+            width=_BAR_WIDTH,
         )
         lines.append(
             f"  {kernel:<20} {fits:>6.0f} {iterations:>6.0f} "
@@ -193,48 +144,48 @@ def _kernel_lines(document: dict[str, Any]) -> list[str]:
     return lines
 
 
-def render_watch(
-    document: dict[str, Any], *, now: float | None = None
-) -> str:
-    """Render one frame of the watch dashboard from a ring document.
+def render_watch(stream: TraceStream, *, now: float | None = None) -> str:
+    """Render one frame of the watch dashboard from a folded stream.
 
-    Pure: the output depends only on ``document`` and ``now`` (the
+    Pure: the output depends only on ``stream`` and ``now`` (the
     wall-clock timestamp used for the staleness label; pass a fixed
     value for deterministic output, as the tests and ``--once`` CI
     renders do).
 
     Parameters
     ----------
-    document:
-        A parsed ``repro-metrics/v1`` ring document.
+    stream:
+        A :func:`~repro.telemetry.stream.fold_trace` result.
     now:
         Wall-clock "now" in epoch seconds; defaults to the current
         time via the sanctioned clock shim.
     """
-    if not isinstance(document, dict):
+    if not isinstance(stream, TraceStream):
         raise ValidationError(
-            f"metrics document must be a dict, got {type(document).__name__}"
+            f"render_watch needs a folded TraceStream, got "
+            f"{type(stream).__name__}"
         )
     stamp = wall_now() if now is None else float(now)
-    snapshots = document.get("snapshots")
-    count = len(snapshots) if isinstance(snapshots, list) else 0
-    header = f"repro watch  {document.get('schema', '?')}  ({count} snapshot(s)"
-    updated = document.get("updated_unix")
-    if isinstance(updated, (int, float)):
-        age = max(stamp - float(updated), 0.0)
+    metrics = stream.metrics
+    header = (
+        f"repro watch  {stream.document['schema'] or '?'}  "
+        f"({len(metrics)} metrics line(s)"
+    )
+    if stream.updated_unix is not None:
+        age = max(stamp - stream.updated_unix, 0.0)
         header += f", updated {format_seconds(age)} ago"
-        if age > STALE_AFTER:
+        if age > STALE_AFTER and not stream.finished:
             header += ", stale"
     header += ")"
     lines = [header]
-    lines.extend(_progress_lines(document))
-    latest = _latest(document)
-    gauges = latest.get("gauges")
-    if isinstance(gauges, dict):
-        lines.extend(_resource_lines(gauges))
-    lines.extend(_kernel_lines(document))
-    if count == 0:
-        lines.append("  (no snapshots yet)")
+    lines.extend(_progress_lines(metrics))
+    if metrics:
+        lines.extend(render_resources(metrics[-1]["gauges"]))
+    lines.extend(_kernel_lines(metrics))
+    if not metrics:
+        lines.append("  (no metrics yet)")
+    if stream.finished:
+        lines.extend(["", "run complete"])
     return "\n".join(lines)
 
 
@@ -245,13 +196,13 @@ def watch_loop(
     interval: float = 1.0,
     once: bool = False,
 ) -> int:
-    """Tail a metrics ring file and redraw the dashboard.
+    """Tail a trace stream and redraw the dashboard.
 
     Parameters
     ----------
     path:
-        The ``repro-metrics/v1`` file an exporter is rewriting (or has
-        finished rewriting — a finished ring renders its final state).
+        The ``repro-trace/v2`` stream a traced run is appending to (or
+        has finished — a finished stream renders its final state).
     stream:
         Output target; ANSI clear-screen codes are only emitted when it
         reports being a terminal.
@@ -263,8 +214,8 @@ def watch_loop(
     Returns
     -------
     int
-        Process exit code: 0 normally, 1 when the file never became
-        readable.
+        Process exit code: 0 normally, 1 when the file is missing or
+        not a trace stream in ``once`` mode.
     """
     if not isinstance(interval, (int, float)) or interval <= 0:
         raise ValidationError(
@@ -273,21 +224,15 @@ def watch_loop(
     target = pathlib.Path(path)
     is_tty = bool(getattr(stream, "isatty", lambda: False)())
     while True:
+        folded: TraceStream | None = None
         try:
-            document = json.loads(target.read_text())
-        except FileNotFoundError:
+            folded = fold_trace(target.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, ValidationError) as exc:
             if once:
-                stream.write(f"error: no such metrics file: {target}\n")
+                stream.write(f"error: cannot read trace stream: {exc}\n")
                 return 1
-            document = None
-        except (OSError, json.JSONDecodeError) as exc:
-            if once:
-                stream.write(f"error: cannot read metrics ring: {exc}\n")
-                return 1
-            # Mid-rewrite; keep the previous frame and retry next tick.
-            document = None
-        if document is not None:
-            frame = render_watch(document)
+        if folded is not None:
+            frame = render_watch(folded)
             if is_tty and not once:
                 stream.write("\x1b[2J\x1b[H")
             stream.write(frame + "\n")

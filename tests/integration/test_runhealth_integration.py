@@ -1,11 +1,11 @@
 """Integration tests for the run-health layer.
 
-Pins the ISSUE's acceptance behaviors end to end: two traced runs of
-the same spec align span-for-span in ``repro trace diff`` with a known
-injected delta reported exactly; the engine's heartbeat gauges and the
-resource sampler's gauges land in real trace documents; ``--metrics``
-rings are valid and viewable; and ``repro bench history`` folds real
-bench payloads into timelines through the CLI.
+Pins the acceptance behaviors end to end: two traced runs of the same
+spec align span-for-span in ``repro trace diff`` with a known injected
+delta reported exactly; the engine's heartbeat gauges and the resource
+sampler's gauges land in real trace streams, which validate, render,
+and watch through the CLI; and ``repro bench history`` folds real bench
+payloads into timelines through the CLI.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from repro.telemetry import (
     Recorder,
     build_manifest,
     diff_traces,
-    run_health,
+    fold_trace,
+    read_trace,
     sampling_supported,
     trace,
-    validate_metrics,
+    traced_run,
     validate_trace,
-    write_trace,
 )
 
 
@@ -46,6 +46,12 @@ def _job_specs(n=3, n_records=60, seed_root=13):
         )
         for i in range(n)
     ]
+
+
+def _traced_stream(path, **kwargs):
+    with traced_run(path):
+        Engine(executor=Executor()).run(_job_specs(**kwargs))
+    return path
 
 
 def _traced_document(manifest=None, **kwargs):
@@ -114,13 +120,18 @@ class TestTraceDiffEndToEnd:
         assert change["b"] == "99.0.0"
 
     def test_cli_trace_diff(self, tmp_path, capsys):
-        path_a = tmp_path / "a.json"
-        path_b = tmp_path / "b.json"
-        write_trace(_traced_document(), path_a)
-        write_trace(_traced_document(), path_b)
+        path_a = _traced_stream(tmp_path / "a.jsonl")
+        path_b = _traced_stream(tmp_path / "b.jsonl")
         assert main(["trace", "diff", str(path_a), str(path_b)]) == 0
         out = capsys.readouterr().out
         assert "trace diff (B - A)" in out
+
+    def test_streams_of_the_same_spec_align_completely(self, tmp_path):
+        diff = diff_traces(
+            read_trace(_traced_stream(tmp_path / "a.jsonl")),
+            read_trace(_traced_stream(tmp_path / "b.jsonl")),
+        )
+        assert {row["status"] for row in diff["spans"]} == {"common"}
 
     def test_cli_trace_diff_wrong_arity(self, tmp_path, capsys):
         assert main(["trace", "diff", "only-one.json"]) == 2
@@ -135,40 +146,34 @@ class TestHeartbeatAndResources:
         assert gauges["engine.jobs.completed"] == 3.0
         assert gauges["engine.jobs.cached"] == 0.0
 
+    def test_heartbeat_gauges_in_trace_stream(self, tmp_path):
+        stream = fold_trace(_traced_stream(tmp_path / "t.jsonl").read_text())
+        assert stream.finished
+        final = stream.metrics[-1]["gauges"]
+        assert final["engine.jobs.total"] == 3.0
+        assert final["engine.jobs.completed"] == 3.0
+        assert final["engine.jobs.cached"] == 0.0
+
     @pytest.mark.skipif(
         not sampling_supported(), reason="needs /proc"
     )
-    def test_run_health_grafts_resource_gauges_into_trace(self, tmp_path):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with run_health(
-                recorder, metrics_path=tmp_path / "m.json", interval=5.0
-            ):
-                Engine(executor=Executor()).run(_job_specs())
-        document = recorder.to_document()
-        validate_trace(document)
+    def test_resource_gauges_reach_the_trace(self, tmp_path):
+        document = validate_trace(
+            read_trace(_traced_stream(tmp_path / "t.jsonl"))
+        )
         assert document["gauges"]["resource.rss_peak_bytes"] > 0.0
-        metrics = json.loads((tmp_path / "m.json").read_text())
-        validate_metrics(metrics)
-        final = metrics["snapshots"][-1]
-        assert final["progress"]["completed"] == 3.0
+        assert document["counters"]["resource.samples"] >= 1
 
-    def test_cli_metrics_view_and_validate(self, tmp_path, capsys):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with run_health(
-                recorder, metrics_path=tmp_path / "m.json", interval=5.0
-            ):
-                Engine(executor=Executor()).run(_job_specs())
-        path = str(tmp_path / "m.json")
-        assert main(["metrics", path, "--validate"]) == 0
-        assert "valid repro-metrics/v1" in capsys.readouterr().out
-        assert main(["metrics", path]) == 0
+    def test_cli_validate_render_and_watch_a_stream(self, tmp_path, capsys):
+        path = str(_traced_stream(tmp_path / "t.jsonl"))
+        assert main(["trace", path, "--validate"]) == 0
+        assert "valid repro-trace/v2 stream" in capsys.readouterr().out
+        assert main(["trace", path]) == 0
+        assert "engine.run" in capsys.readouterr().out
+        assert main(["watch", path, "--once"]) == 0
         out = capsys.readouterr().out
-        assert "snapshot(s)" in out
-        assert "3/3 jobs" in out
-        assert main(["metrics", path, "--prom"]) == 0
-        assert "# EOF" in capsys.readouterr().out
+        assert "3/3 jobs (100%, 0 cached)" in out
+        assert "run complete" in out
 
 
 class TestBenchHistoryEndToEnd:

@@ -1,7 +1,7 @@
 """Integration tests: tracing across the engine, pipeline, and CLI.
 
-Pins the ISSUE's acceptance behaviors: traced runs produce valid
-``repro-trace/v1`` documents whose per-job spans account for the run
+Pins the acceptance behaviors: traced runs produce valid
+``repro-trace/v2`` documents whose per-job spans account for the run
 wall-clock and distinguish cache hits from computed jobs in process
 and on a pool; results stay bit-identical with tracing on; and the CLI
 ``--trace`` / ``repro trace`` round-trip works end to end.
@@ -19,7 +19,13 @@ from repro.engine import (
     ResultCache,
     TraceReporter,
 )
-from repro.telemetry import Recorder, build_manifest, trace, validate_trace
+from repro.telemetry import (
+    Recorder,
+    build_manifest,
+    read_trace,
+    trace,
+    validate_trace,
+)
 
 
 def _job_specs(n=4, n_records=80):
@@ -301,18 +307,17 @@ class TestCliTraceRoundTrip:
         from repro.cli import main
 
         spec_path = self._write_spec(tmp_path)
-        trace_path = tmp_path / "out.json"
+        trace_path = tmp_path / "out.jsonl"
         code = main(
             ["run", str(spec_path), "--no-cache", "--trace", str(trace_path)]
         )
         assert code == 0
-        document = json.loads(trace_path.read_text())
-        validate_trace(document)
+        document = validate_trace(read_trace(trace_path))
         assert document["manifest"]["spec"]["name"] == "cli-traced"
         capsys.readouterr()
 
         assert main(["trace", str(trace_path), "--validate"]) == 0
-        assert "valid repro-trace/v1" in capsys.readouterr().out
+        assert "valid repro-trace/v2 stream" in capsys.readouterr().out
 
         assert main(["trace", str(trace_path), "--top", "2"]) == 0
         rendered = capsys.readouterr().out
@@ -333,7 +338,7 @@ class TestCliTraceRoundTrip:
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)  # keep bench JSON mirrors out of the repo
-        trace_path = tmp_path / "bench.json"
+        trace_path = tmp_path / "bench.jsonl"
         code = main(
             [
                 "bench",
@@ -347,8 +352,7 @@ class TestCliTraceRoundTrip:
             ]
         )
         assert code == 0
-        document = json.loads(trace_path.read_text())
-        validate_trace(document)
+        document = validate_trace(read_trace(trace_path))
         [case] = [
             span
             for span in document["spans"]

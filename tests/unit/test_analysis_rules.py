@@ -158,11 +158,11 @@ class TestWallClock:
         assert not fired(report, "wall-clock")
         assert report.suppressed
 
-    def test_exporter_module_in_scope(self, tmp_path):
+    def test_watch_module_in_scope(self, tmp_path):
         # The run-health modules carry kernel-grade clock discipline:
-        # a direct time read in the exporter is a finding.
+        # a direct time read in the watch dashboard is a finding.
         report = check_snippet(
-            tmp_path, self.TRIGGER, module="repro.telemetry.exporter"
+            tmp_path, self.TRIGGER, module="repro.telemetry.watch"
         )
         assert fired(report, "wall-clock")
 
@@ -211,7 +211,7 @@ class TestWallClock:
             def snapshot():
                 return {"ts_unix": wall_now(), "mono": mono_now()}
             """,
-            module="repro.telemetry.exporter",
+            module="repro.telemetry.watch",
         )
         assert not fired(report, "wall-clock")
         assert report.ok

@@ -35,7 +35,7 @@ from repro.telemetry.convergence import (
     trajectory_values,
 )
 from repro.telemetry.recorder import Recorder
-from repro.telemetry.schema import validate_metrics, validate_trace
+from repro.telemetry.schema import validate_trace
 
 
 def _bimodal_samples(n=600, seed=0):
@@ -426,13 +426,6 @@ class TestSchemaForwardCompat:
         )
         with pytest.raises(ValidationError, match="iterations"):
             validate_trace(document)
-
-    def test_unknown_metrics_version_warns(self):
-        payload = {"schema": "repro-metrics/v99"}
-        warnings = []
-        validate_metrics(payload, warnings=warnings)
-        assert len(warnings) == 1
-        assert warnings[0].startswith("unknown-schema-version")
 
     def test_without_a_sink_warnings_are_silent_but_valid(self):
         document = self._document()

@@ -2,7 +2,7 @@
 
 Covers the span primitives, the thread-safe recorder (including
 cross-process fragment adoption), the ``trace`` facade's disabled fast
-path, the ``repro-trace/v1`` schema validator, run manifests, the
+path, the ``repro-trace/v2`` schema validator, run manifests, the
 ASCII viewer, and the <2% disabled-hook overhead budget.
 """
 
@@ -26,9 +26,9 @@ from repro.telemetry import (
     render_trace,
     sparkline,
     spec_fingerprint,
+    read_trace,
     trace,
     validate_trace,
-    write_trace,
 )
 
 
@@ -421,7 +421,7 @@ class TestManifest:
 
 
 # ----------------------------------------------------------------------
-# viewer + write_trace
+# viewer + the streamed trace file
 
 
 class TestViewer:
@@ -459,21 +459,22 @@ class TestViewer:
         assert "gamma" not in tree
         assert "hidden" in tree
 
-    def test_write_trace_validates_and_writes(self, tmp_path):
-        recorder = Recorder()
+    def test_streamed_trace_validates_and_renders(self, tmp_path):
+        target = tmp_path / "trace.jsonl"
+        recorder = Recorder(target)
         with trace.recording(recorder):
             with trace.span("run"):
                 pass
-        target = tmp_path / "trace.json"
-        written = write_trace(recorder.to_document(), target)
-        assert written == target
-        validate_trace(json.loads(target.read_text()))
+        recorder.close()
+        document = validate_trace(read_trace(target))
+        assert [span["name"] for span in document["spans"]] == ["run"]
+        assert "run" in render_trace(document)
 
-    def test_write_trace_rejects_invalid_document(self, tmp_path):
-        target = tmp_path / "trace.json"
-        with pytest.raises(ValidationError):
-            write_trace({"schema": "bogus"}, target)
-        assert not target.exists()
+    def test_read_trace_rejects_a_file_that_is_not_a_stream(self, tmp_path):
+        target = tmp_path / "trace.jsonl"
+        target.write_text('{"kind": "span"}\n')
+        with pytest.raises(ValidationError, match="header"):
+            read_trace(target)
 
 
 class TestViewerEdgeCases:

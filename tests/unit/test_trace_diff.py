@@ -32,7 +32,7 @@ def _span(name, duration, children=(), **attrs):
 
 def _trace(roots, *, counters=None, manifest=None):
     return {
-        "schema": "repro-trace/v1",
+        "schema": "repro-trace/v2",
         "created_unix": 1000.0,
         "spans": [root.to_dict() for root in roots],
         "counters": counters or {},
