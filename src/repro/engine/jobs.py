@@ -60,7 +60,7 @@ __all__ = [
 #: previously cached result.  Code changes within one release are NOT
 #: detected, so clear the cache (or use ``--no-cache``) when editing
 #: pipeline internals locally.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Signature every engine task implements: ``task(params, rng) -> payload``.
 #: ``rng`` is ``None`` for self-seeding tasks (``seed_root=None`` specs).

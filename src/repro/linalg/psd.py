@@ -52,7 +52,11 @@ def is_positive_semidefinite(matrix, *, tol: float = 1e-10) -> bool:
 
 
 def nearest_psd(
-    matrix, *, floor: float = 0.0, return_decomposition: bool = False
+    matrix,
+    *,
+    floor: float = 0.0,
+    return_decomposition: bool = False,
+    decomposition: EigenDecomposition | None = None,
 ):
     """Project a symmetric matrix onto the PSD cone by spectral clipping.
 
@@ -68,9 +72,11 @@ def nearest_psd(
     floor:
         Minimum allowed eigenvalue; must be ``>= 0``.
     return_decomposition:
-        Also return the :func:`sorted_eigh` decomposition of the result.
-        When nothing is clipped that is the decomposition the projection
-        already computed; a repaired matrix is decomposed afresh.
+        Also return the :func:`sorted_eigh` decomposition of the result:
+        the clipped eigenvalues with the input's eigenvectors.
+    decomposition:
+        The :func:`sorted_eigh` decomposition of ``matrix`` when the
+        caller already has it; skips the eigendecomposition.
 
     Returns
     -------
@@ -79,7 +85,8 @@ def nearest_psd(
         ``return_decomposition`` is set.
     """
     check_in_range(floor, "floor", low=0.0)
-    decomposition = sorted_eigh(matrix)
+    if decomposition is None:
+        decomposition = sorted_eigh(matrix)
     clipped = np.clip(decomposition.values, floor, None)
     if np.array_equal(clipped, decomposition.values):
         # Already PSD with the requested floor: return the symmetrized input.
@@ -94,8 +101,7 @@ def nearest_psd(
         vectors = decomposition.vectors
         repaired = (vectors * clipped) @ vectors.T
         result = (repaired + repaired.T) / 2.0
-        if return_decomposition:
-            decomposition = sorted_eigh(result)
+        decomposition = EigenDecomposition(clipped, vectors)
     if return_decomposition:
         return result, decomposition
     return result
@@ -179,15 +185,9 @@ def psd_inverse(matrix, *, floor: float = 1e-10) -> np.ndarray:
     Theorem-5.1 diagonal subtraction) produce a bounded inverse instead of
     exploding.  For well-conditioned input this equals ``inv(matrix)`` to
     machine precision.
-
-    ``matrix`` may also be the matrix's :class:`EigenDecomposition` (from
-    :func:`sorted_eigh`), which skips the eigendecomposition.
     """
     check_in_range(floor, "floor", low=0.0, inclusive_low=False)
-    if isinstance(matrix, EigenDecomposition):
-        decomposition = matrix
-    else:
-        decomposition = sorted_eigh(matrix)
+    decomposition = sorted_eigh(matrix)
     top = float(decomposition.values[0])
     if top <= 0.0:
         raise NotPositiveDefiniteError(

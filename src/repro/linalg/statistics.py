@@ -4,9 +4,16 @@ SF (the Kargupta et al. baseline), PCA-DR (Section 5) and BE-DR
 (Section 6, Theorem 8.1) all start from the same quantities of the
 published table ``Y``: its column means, its sample covariance, and the
 Theorem 5.1 / 8.2 estimate ``Cov(Y) - Sigma_r`` with its eigenvectors.
+UDR's Gaussian prior reads the means and the covariance's diagonal.
 :class:`DisguisedStatistics` computes each of them at most once per
 ``(Y, noise model)`` pair, so running the whole attack battery on one
 dataset estimates ``Cov(Y)`` once instead of once per attack.
+
+Under isotropic noise ``Sigma_r = sigma^2 I`` the whole battery runs one
+``eigh``: Theorem 5.1's estimate ``Cov(Y) - sigma^2 I`` has the
+eigenvectors of ``Cov(Y)`` and its eigenvalues shifted by ``-sigma^2``,
+so it is derived from :attr:`DisguisedStatistics.covariance_eigen`
+rather than decomposed again.
 
 Only ``O(m^2)`` values are cached, never a centred ``(n, m)`` copy.  The
 cached arrays are read-only: they are shared by every attack, and a
@@ -24,9 +31,10 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from repro.exceptions import NotPositiveDefiniteError
 from repro.linalg.covariance import covariance_from_disguised, sample_covariance
 from repro.linalg.eigen import EigenDecomposition, sorted_eigh
-from repro.linalg.psd import psd_inverse
+from repro.linalg.psd import nearest_psd
 
 if TYPE_CHECKING:
     from repro.randomization.base import NoiseModel
@@ -85,29 +93,45 @@ class DisguisedStatistics:
         """Theorem 5.1 / 8.2 estimate of ``Cov(X)`` and its decomposition.
 
         The estimate is ``Cov(Y) - Sigma_r`` after PSD repair (see
-        :func:`~repro.linalg.covariance.covariance_from_disguised`), one
-        per ``estimator`` (``"sample"`` or ``"ledoit-wolf"``).  The
-        ``"sample"`` estimate reuses :attr:`covariance`.
+        :func:`~repro.linalg.psd.nearest_psd`), one per ``estimator``
+        (``"sample"`` or ``"ledoit-wolf"``).  The ``"sample"`` estimate
+        reuses :attr:`covariance`, and under isotropic noise also the
+        eigenvectors of :attr:`covariance_eigen`.
         """
         return self._cached(
-            ("estimate", estimator),
-            lambda: covariance_from_disguised(
-                self._disguised,
-                self._noise_model.covariance,
-                estimator=estimator,
-                covariance_y=(
-                    self.covariance if estimator == "sample" else None
-                ),
+            ("estimate", estimator), lambda: self._estimate(estimator)
+        )
+
+    def _estimate(self, estimator: str) -> tuple[np.ndarray, EigenDecomposition]:
+        model = self._noise_model
+        if estimator == "sample" and model.is_isotropic:
+            variance, eigen = model.scalar_variance, self.covariance_eigen
+            return nearest_psd(
+                self.covariance - variance * np.eye(eigen.dim),
                 return_decomposition=True,
-            ),
+                decomposition=EigenDecomposition(
+                    eigen.values - variance, eigen.vectors
+                ),
+            )
+        return covariance_from_disguised(
+            self._disguised,
+            model.covariance,
+            estimator=estimator,
+            covariance_y=self.covariance if estimator == "sample" else None,
+            return_decomposition=True,
         )
 
     @property
-    def noise_precision(self) -> np.ndarray:
-        """``Sigma_r^-1`` via :func:`~repro.linalg.psd.psd_inverse`."""
+    def noise_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of ``Sigma_r``.
+
+        Theorem 8.1 needs ``Sigma_r`` positive definite; reading this
+        raises :class:`~repro.exceptions.NotPositiveDefiniteError` when
+        it is not.
+        """
         return self._cached(
-            "noise_precision",
-            lambda: psd_inverse(self._noise_model.covariance),
+            "noise_cholesky",
+            lambda: _cholesky(self._noise_model.covariance),
         )
 
 
@@ -115,10 +139,10 @@ class DisguisedStatistics:
 class ReferenceGram:
     """Gram quantities of the private original ``X`` against ``Y``.
 
-    With ``Xc = X - mean`` and ``Yc = Y - column_means(Y)``: ``mean``
-    (``m``), ``sq_norms = diag(Xc^T Xc)`` (``m``) and ``cross = Xc^T Yc``
-    (``m x m``).  Together with :attr:`DisguisedStatistics.covariance`
-    they score any reconstruction affine in ``Y`` without building it
+    With ``Xc = X - mean``: ``mean`` (``m``), ``sq_norms = diag(Xc^T Xc)``
+    (``m``) and ``cross = Xc^T Y`` (``m x m``), which is ``Xc^T Yc`` for
+    any centring ``Yc`` of ``Y``, as the columns of ``Xc`` sum to zero.
+    Together with :attr:`DisguisedStatistics.covariance` they score any reconstruction affine in ``Y`` without building it
     (:mod:`repro.metrics.error`).  They are derived from ``X``, so they
     live on the dataset's private side, never in
     :class:`DisguisedStatistics`, which attacks read.
@@ -129,18 +153,23 @@ class ReferenceGram:
     cross: np.ndarray
 
     @classmethod
-    def of(
-        cls,
-        original: np.ndarray,
-        disguised: np.ndarray,
-        disguised_mean: np.ndarray,
-    ) -> "ReferenceGram":
+    def of(cls, original: np.ndarray, disguised: np.ndarray) -> "ReferenceGram":
         """Compute the three quantities in one pass over each table."""
         mean = original.mean(axis=0)
         centred = original - mean
         sq_norms = np.einsum("ij,ij->j", centred, centred)
-        cross = centred.T @ (disguised - disguised_mean)
+        cross = centred.T @ disguised
         return cls(*_read_only((mean, sq_norms, cross)))
+
+
+def _cholesky(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky`` raising the library's error on failure."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as error:
+        raise NotPositiveDefiniteError(
+            "noise covariance is not positive definite"
+        ) from error
 
 
 def _read_only(value: Any) -> Any:

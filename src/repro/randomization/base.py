@@ -56,8 +56,16 @@ class NoiseModel:
             raise ValidationError(
                 f"noise mean has length {mean.size}, expected {cov.shape[0]}"
             )
-        object.__setattr__(self, "covariance", (cov + cov.T) / 2.0)
+        cov = (cov + cov.T) / 2.0
+        object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "mean", mean)
+        # Frozen, so is_isotropic is evaluated once, here.
+        diagonal = np.diag(cov)
+        scale = max(float(diagonal.max()), 1e-300)
+        isotropic = np.allclose(
+            diagonal, diagonal[0], rtol=1e-9, atol=1e-12 * scale
+        ) and np.allclose(cov - np.diag(diagonal), 0.0, atol=1e-9 * scale)
+        object.__setattr__(self, "_is_isotropic", bool(isotropic))
 
     def __eq__(self, other) -> bool:
         # dataclass-generated equality compares ndarray fields with
@@ -79,14 +87,7 @@ class NoiseModel:
     @property
     def is_isotropic(self) -> bool:
         """True when the covariance is ``sigma^2 * I`` (i.i.d. noise)."""
-        diagonal = np.diag(self.covariance)
-        off = self.covariance - np.diag(diagonal)
-        scale = max(float(diagonal.max()), 1e-300)
-        same_variance = np.allclose(
-            diagonal, diagonal[0], rtol=1e-9, atol=1e-12 * scale
-        )
-        no_correlation = np.allclose(off, 0.0, atol=1e-9 * scale)
-        return bool(same_variance and no_correlation)
+        return self._is_isotropic
 
     @property
     def scalar_variance(self) -> float:
@@ -181,9 +182,7 @@ class DisguisedDataset:
         """
         gram = self.__dict__.get("_reference_gram")
         if gram is None:
-            gram = ReferenceGram.of(
-                self.original, self.disguised, self.statistics.column_means
-            )
+            gram = ReferenceGram.of(self.original, self.disguised)
             object.__setattr__(self, "_reference_gram", gram)
         return gram
 

@@ -28,21 +28,20 @@ __all__ = ["AffineMap", "ReconstructionResult", "Reconstructor"]
 class AffineMap:
     """A reconstruction affine in the published table ``Y``.
 
-    ``X_hat = ((Y - center) W + offset) B``, where ``W`` is ``(m, m)`` or
-    a diagonal given as its ``(m,)`` entries, a missing ``center`` is
-    zero and a missing ``outer`` (``B``) is the identity.  A ``(k, m)``
-    ``center`` is subtracted row by row.  :meth:`apply` evaluates the
-    attack's own expression in the attack's own order, so a lazily built
-    estimate has the bits an eager one had.  The ``m``-sized arrays are
-    checked for NaN and infinity here; ``disguised`` is the attack's
-    already validated input and is not rescanned.
+    ``X_hat = (Y - center) W + offset``, where ``W`` is ``(m, m)`` or a
+    diagonal given as its ``(m,)`` entries and a missing ``center`` is
+    zero.  A ``(k, m)`` ``center`` is subtracted row by row.
+    :meth:`apply` evaluates the attack's own expression in the attack's
+    own order, so a lazily built estimate has the bits an eager one had.
+    The ``m``-sized arrays are checked for NaN and infinity here;
+    ``disguised`` is the attack's already validated input and is not
+    rescanned.
     """
 
     disguised: np.ndarray
     weights: np.ndarray
     offset: np.ndarray
     center: np.ndarray | None = None
-    outer: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.disguised.shape[1]
@@ -50,11 +49,10 @@ class AffineMap:
             "weights": [(m,), (m, m)],
             "offset": [(m,)],
             "center": [(m,), np.shape(self.center)[:1] + (m,)],
-            "outer": [(m, m)],
         }
         for name, shapes in allowed.items():
             value = getattr(self, name)
-            if value is None and name in ("center", "outer"):
+            if value is None and name == "center":
                 continue
             if np.shape(value) not in shapes:
                 raise ValidationError(
@@ -76,27 +74,19 @@ class AffineMap:
         else:
             estimate = estimate @ self.weights
         estimate += self.offset
-        if self.outer is not None:
-            estimate = estimate @ self.outer
         return estimate
 
     def centred(self, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(W, b)`` with ``X_hat = (Y - mean) W + b``.
 
-        ``W`` stays a vector for a diagonal map without ``outer``.
+        ``W`` stays a vector for a diagonal map.
         """
         shift = mean
         if self.center is not None:
             shift = mean - np.atleast_2d(self.center).sum(axis=0)
         weights = self.weights
         offset = shift * weights if weights.ndim == 1 else shift @ weights
-        offset = offset + self.offset
-        if self.outer is not None:
-            if weights.ndim == 1:
-                weights = np.diag(weights)
-            weights = weights @ self.outer
-            offset = offset @ self.outer
-        return weights, offset
+        return weights, offset + self.offset
 
 
 class ReconstructionResult:
@@ -269,8 +259,8 @@ class Reconstructor(abc.ABC):
         """Attack implementation on the validated public view.
 
         ``statistics`` holds the shared derived quantities of
-        ``(disguised, noise_model)``; attacks that need ``Cov(Y)``, the
-        Theorem 5.1 estimate or ``Sigma_r^-1`` read them from it.
+        ``(disguised, noise_model)``; attacks that need ``Cov(Y)`` or the
+        Theorem 5.1 estimate read them from it.
         """
 
     def __repr__(self) -> str:

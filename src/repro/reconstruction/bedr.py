@@ -1,24 +1,31 @@
 """BE-DR — Bayes-Estimate-based Data Reconstruction (Section 6, Theorem 8.1).
 
 Model the original records as draws from ``N(mu_x, Sigma_x)`` and the
-noise as ``N(0, Sigma_r)``; the posterior ``P(x | y)`` is Gaussian and its
-maximizer (= posterior mean) is the reconstruction:
+noise as ``N(mu_r, Sigma_r)``; the posterior ``P(x | y)`` is Gaussian and
+its maximizer (= posterior mean) is the reconstruction.  Theorem 8.1
+writes it with the posterior precision ``A = Sigma_x^-1 + Sigma_r^-1``,
 
-* i.i.d. noise, Eq. (11):
-  ``x_hat = (Sigma_x^-1 + I/sigma^2)^-1 (Sigma_x^-1 mu_x + y/sigma^2)``
-* correlated noise, Theorem 8.1:
-  ``x_hat = (Sigma_x^-1 + Sigma_r^-1)^-1
-            (Sigma_x^-1 mu_x - Sigma_r^-1 mu_r + Sigma_r^-1 y)``
+    x_hat = A^-1 (Sigma_x^-1 mu_x + Sigma_r^-1 (y - mu_r)),
 
-Eq. (11) is the special case ``Sigma_r = sigma^2 I``, ``mu_r = 0``; the
-implementation uses the general form throughout, so the same class
-attacks both the baseline and the improved randomization scheme.
+and Eq. (11) is the case ``Sigma_r = sigma^2 I``, ``mu_r = 0``.  By the
+Woodbury identity, ``A = Sigma_r^-1 (Sigma_x + Sigma_r) Sigma_x^-1`` gives
+``A^-1 Sigma_r^-1 = Sigma_x (Sigma_x + Sigma_r)^-1 = I - A^-1 Sigma_x^-1``,
+so with ``K = (Sigma_x + Sigma_r)^-1 Sigma_x``, acting on rows,
+
+    x_hat = mu_x + (y - mu_x - mu_r) K,    A^-1 = Sigma_x - Sigma_x K.
+
+That is one linear solve, and ``Sigma_x`` is never inverted.  The
+Theorem 5.1 estimate of ``Sigma_x`` is often singular after PSD repair,
+so the precision form had to floor its spectrum before inverting it;
+this form needs no floor, only Theorem 8.1's own hypothesis that
+``Sigma_r`` is positive definite, which
+:attr:`~repro.linalg.statistics.DisguisedStatistics.noise_cholesky`
+checks.  The same code attacks the baseline and the improved scheme.
 
 The adversary inputs are all public: ``Sigma_x`` comes from Theorem 5.1 /
-8.2 (disguised covariance minus noise covariance) and ``mu_x ~= mu_y``
-because the noise is zero-mean (Section 6.1, step 2).  Both, with
-``Sigma_x``'s eigenvectors and ``Sigma_r^-1``, are read from the
-dataset's shared :class:`~repro.linalg.statistics.DisguisedStatistics`.
+8.2 (disguised covariance minus noise covariance) and ``mu_x ~= mu_y -
+mu_r`` (Section 6.1, step 2); both are read from the dataset's shared
+:class:`~repro.linalg.statistics.DisguisedStatistics`.
 
 BE-DR uses *all* directions — principal and non-principal — weighted by
 their signal-to-noise ratio, which is why it dominates PCA-DR everywhere
@@ -30,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.linalg.psd import psd_inverse
 from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import (
@@ -140,12 +146,8 @@ class BayesEstimateReconstructor(Reconstructor):
                     f"-dimensional, data has {m} attributes"
                 )
             sigma_x = self._oracle_covariance
-            precision_x = psd_inverse(sigma_x)
         else:
-            sigma_x, decomposition = statistics.estimate(
-                self._covariance_estimator
-            )
-            precision_x = psd_inverse(decomposition)
+            sigma_x, _ = statistics.estimate(self._covariance_estimator)
 
         if self._oracle_mean is not None:
             if self._oracle_mean.size != m:
@@ -159,24 +161,20 @@ class BayesEstimateReconstructor(Reconstructor):
             # paper's schemes, but subtracting costs nothing).
             mu_x = statistics.column_means - noise_model.mean
 
-        precision_r = statistics.noise_precision
+        # Raises unless Sigma_r is positive definite (Theorem 8.1).
+        statistics.noise_cholesky
 
-        # Posterior precision A = Sigma_x^-1 + Sigma_r^-1 (Theorem 8.1);
-        # for iid noise this is Eq. (11)'s Sigma_x^-1 + I/sigma^2.
-        posterior_precision = precision_x + precision_r
-        posterior_covariance = psd_inverse(posterior_precision)
+        # K = (Sigma_x + Sigma_r)^-1 Sigma_x; x_hat = mu_x + (y - mu_x -
+        # mu_r) K, vectorized over all n records at once when it is built.
+        gain = np.linalg.solve(sigma_x + noise_model.covariance, sigma_x)
+        affine = AffineMap(disguised, gain, mu_x, center=mu_x + noise_model.mean)
 
-        # x_hat = A^-1 (Sigma_x^-1 mu_x - Sigma_r^-1 mu_r + Sigma_r^-1 y),
-        # vectorized over all n records at once when it is built.
-        constant = precision_x @ mu_x - precision_r @ noise_model.mean
-        affine = AffineMap(
-            disguised, precision_r.T, constant, outer=posterior_covariance.T
-        )
-
-        # The Gaussian posterior covariance is also the estimator's error
-        # covariance, so the model-implied reconstruction MSE per cell is
-        # trace(A^-1)/m; with the true Sigma_x this is the Bayes-optimal
-        # (minimum achievable) MSE for the scheme.
+        # The Gaussian posterior covariance A^-1 = Sigma_x - Sigma_x K is
+        # also the estimator's error covariance, so the model-implied
+        # reconstruction MSE per cell is trace(A^-1)/m; with the true
+        # Sigma_x this is the Bayes-optimal (minimum achievable) MSE.
+        posterior = sigma_x - sigma_x @ gain
+        posterior_covariance = (posterior + posterior.T) / 2.0
         expected_mse = float(np.trace(posterior_covariance)) / m
 
         return ReconstructionResult(

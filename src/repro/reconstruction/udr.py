@@ -73,38 +73,6 @@ def noise_marginal_density(noise_model: NoiseModel, attribute: int) -> Density:
     return GaussianDensity(mean, std)
 
 
-def _noise_marginal_moments(
-    noise_model: NoiseModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of :func:`noise_marginal_density` per attribute.
-
-    The same scalar arithmetic as building each density and reading its
-    ``mean`` / ``variance``, so the values are bit-identical, without
-    constructing ``m`` density objects.  (Python's ``x ** 2`` and
-    numpy's differ in the last bit, hence the scalar loop.)
-    """
-    variances = np.diag(noise_model.covariance)
-    bad = np.flatnonzero(variances <= 0.0)
-    if bad.size:
-        raise ValidationError(
-            f"attribute {int(bad[0])} has non-positive noise variance"
-        )
-    uniform = noise_model.family == "uniform"
-    means = []
-    moments = []
-    for mean, variance in zip(noise_model.mean.tolist(), variances.tolist()):
-        std = math.sqrt(variance)
-        if uniform:
-            halfwidth = std * math.sqrt(3.0)
-            low, high = mean - halfwidth, mean + halfwidth
-            means.append((low + high) / 2.0)
-            moments.append((high - low) ** 2 / 12.0)
-        else:
-            means.append(mean)
-            moments.append(std**2)
-    return np.array(means), np.array(moments)
-
-
 @register_attack("udr")
 class UnivariateReconstructor(Reconstructor):
     """The paper's UDR benchmark attack.
@@ -196,7 +164,9 @@ class UnivariateReconstructor(Reconstructor):
         details: dict = {"prior_mode": self._prior_mode}
         if self._prior_mode == "gaussian":
             return ReconstructionResult(
-                affine=self._gaussian_shrinkage(disguised, noise_model),
+                affine=self._gaussian_shrinkage(
+                    disguised, noise_model, statistics
+                ),
                 method=self.name,
                 details=details,
             )
@@ -220,7 +190,9 @@ class UnivariateReconstructor(Reconstructor):
 
     @staticmethod
     def _gaussian_shrinkage(
-        disguised: np.ndarray, noise_model: NoiseModel
+        disguised: np.ndarray,
+        noise_model: NoiseModel,
+        statistics: DisguisedStatistics,
     ) -> AffineMap:
         """Moment-matched Gaussian-prior posterior mean, all columns at once.
 
@@ -230,14 +202,23 @@ class UnivariateReconstructor(Reconstructor):
         posterior mean ``mu + s/(s + sigma^2) * (y - noise_mean - mu)``
         is the diagonal :class:`AffineMap` returned.
 
-        The column moments come from a contiguous transposed copy: each
-        row of it reduces in the same order as the column alone, so
-        every value equals the per-column computation bit for bit.
+        The column moments are the dataset's shared means and the
+        diagonal of its ``Cov(Y)``, rescaled to the ``1/n`` variance, so
+        ``Y`` is not read again.
         """
-        noise_mean, noise_var = _noise_marginal_moments(noise_model)
-        columns = np.ascontiguousarray(disguised.T)
-        prior_var = np.maximum(columns.var(axis=1) - noise_var, 0.0)
-        prior_mean = columns.mean(axis=1) - noise_mean
+        n = disguised.shape[0]
+        # The marginal noise moments are the model's own, whatever its
+        # family (see noise_marginal_density).
+        noise_mean = noise_model.mean
+        noise_var = np.diag(noise_model.covariance)
+        bad = np.flatnonzero(noise_var <= 0.0)
+        if bad.size:
+            raise ValidationError(
+                f"attribute {int(bad[0])} has non-positive noise variance"
+            )
+        column_var = np.diag(statistics.covariance) * ((n - 1) / n)
+        prior_var = np.maximum(column_var - noise_var, 0.0)
+        prior_mean = statistics.column_means - noise_mean
         # An attribute with prior_var == 0 is pure noise as far as
         # moments can tell: its shrinkage is exactly 0, so every
         # posterior mean collapses to the prior mean.

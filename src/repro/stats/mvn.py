@@ -149,7 +149,8 @@ class MultivariateNormal:
         generator = as_generator(rng)
         standard = generator.standard_normal((size, self.dim))
         values = standard @ self._cholesky().T
-        values += self._mean
+        if self._mean.any():
+            values += self._mean
         return values
 
     # ------------------------------------------------------------------
