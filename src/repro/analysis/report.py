@@ -3,8 +3,8 @@
 The text form is the classic one-finding-per-line linter format
 (``path:line:col: severity[rule] message``), grep- and editor-friendly.
 The JSON form is a versioned ``repro-check/v1`` document mirroring the
-other machine-readable artifacts in this repository (``repro-bench/v1``,
-``repro-trace/v2``) so CI can archive and diff it.
+other machine-readable artifacts in this repository (``repro-trace/v2``,
+``repro-manifest/v1``) so CI can archive and diff it.
 """
 
 from __future__ import annotations

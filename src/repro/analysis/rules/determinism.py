@@ -182,8 +182,8 @@ class WallClockRule(Rule):
         "computations collide).  Timing belongs in the telemetry layer "
         "(repro.telemetry spans), not in the kernels it observes.  The "
         "run-health layer (resource sampler, watch dashboard, trace "
-        "diff, bench history) is held to the same bar for a different "
-        "reason: its clock reads must all flow through the sanctioned "
+        "diff) is held to the same bar for a different reason: its "
+        "clock reads must all flow through the sanctioned "
         "repro.telemetry._clock shims so the full set of timestamp "
         "sources stays auditable in one module."
     )
@@ -207,7 +207,6 @@ class WallClockRule(Rule):
         # scope — they are the one audited touch point).
         "repro.telemetry.sampler",
         "repro.telemetry.diff",
-        "repro.telemetry.history",
         "repro.telemetry.watch",
     )
 

@@ -80,8 +80,7 @@ class IterHotpathRule(Rule):
         "record() argument that computes a reduction or allocates a "
         "container, silently re-introduces per-iteration overhead for "
         "every untraced production run — the regression the "
-        "telemetry.convergence benchmark exists to catch, moved to "
-        "check time."
+        "overhead-budget tests exist to catch, moved to check time."
     )
     hint = (
         "Hoist span/metric calls out of the loop (open one "

@@ -11,7 +11,6 @@ Usage (after ``pip install -e .``)::
     repro trace diff a.jsonl b.jsonl  # span-aligned cross-run deltas
     repro watch t.jsonl               # live dashboard tailing the stream
     repro watch t.jsonl --once        # one deterministic frame (CI logs)
-    repro bench history results/*.json  # per-case bench timelines
     repro check src/ --fix-hints      # determinism/parallel-safety lints
     repro check --list-rules          # the registered rule catalog
     repro list schemes                # registered randomization schemes
@@ -21,7 +20,7 @@ Usage (after ``pip install -e .``)::
     repro figure4 --trials 3          # average 3 runs per sweep point
     repro figure2 --plot              # add an ASCII line chart
     repro theorem52                   # Theorem 5.2 numeric check
-    repro ablation-selection          # DESIGN.md ablations A2-A6
+    repro ablation-selection          # ablations A2-A6 (docs/paper_map.md)
     python -m repro figure2           # module form
 
 Every experiment — a user spec or a built-in — executes through
@@ -31,8 +30,10 @@ for any worker count.  Completed jobs are cached on disk
 (``--cache-dir``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) so
 rerunning a sweep skips finished work; ``--no-cache`` disables that.
 
-Output is the same text table the benchmark harness prints (plus an
-optional terminal plot), or the full structured result with ``--json``.
+Output is an aligned text table per series — one row per sweep point,
+one column per attack (:func:`repro.experiments.reporting.render_series`)
+— plus an optional terminal plot, or the full structured result with
+``--json``.
 """
 
 from __future__ import annotations
@@ -214,99 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(sub)
 
     sub = subparsers.add_parser(
-        "bench",
-        help="time the numerical routines no figure runs",
-        description=(
-            "Run the registered micro-benchmarks (numerical routines "
-            "no figure runs, and the tracing overhead; perfbench/ "
-            "times the figure pipelines), print a timing table, "
-            "optionally emit a machine-readable BENCH_*.json, and "
-            "compare against a baseline payload."
-        ),
-    )
-    sub.add_argument(
-        "--json",
-        nargs="?",
-        const="BENCH_RESULTS.json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write the machine-readable payload to PATH "
-            "(default BENCH_RESULTS.json when the flag is given bare)"
-        ),
-    )
-    sub.add_argument(
-        "--filter",
-        default=None,
-        metavar="TOKEN",
-        help=(
-            "only run benchmarks whose name contains TOKEN or whose "
-            "tags include it (e.g. 'smoke', 'large', 'em_recon')"
-        ),
-    )
-    sub.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="timed repetitions per benchmark after one warmup (default 3)",
-    )
-    sub.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline BENCH_*.json to compare against (default: the "
-            "committed benchmarks/baselines/BENCH_BASELINE.json when "
-            "run inside the repository)"
-        ),
-    )
-    sub.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the baseline comparison entirely",
-    )
-    sub.add_argument(
-        "--max-regression",
-        type=float,
-        default=1.5,
-        metavar="RATIO",
-        help=(
-            "flag benchmarks running RATIO times slower than the "
-            "baseline (default 1.5)"
-        ),
-    )
-    sub.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit non-zero when any benchmark exceeds --max-regression",
-    )
-    sub.add_argument(
-        "--list",
-        action="store_true",
-        help="list the registered benchmarks (with --filter) and exit",
-    )
-    sub.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "stream per-case bench.case spans, metrics, and resource "
-            "samples to a repro-trace/v2 JSONL file at PATH"
-        ),
-    )
-    sub.add_argument(
-        "action",
-        nargs="*",
-        default=[],
-        metavar="history RESULTS...",
-        help=(
-            "optional subcommand: 'history RESULTS...' folds any number "
-            "of BENCH_*.json payloads into per-case timelines with "
-            "regression flagging against the baseline"
-        ),
-    )
-
-    sub = subparsers.add_parser(
         "check",
         help="static determinism & parallel-safety analysis",
         description=(
@@ -361,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Render the span tree, self-time aggregate, slowest-job "
             "chart, and manifest summary of a trace recorded with "
-            "'repro run --trace' or 'repro bench --trace'.  "
+            "any experiment subcommand's --trace (e.g. 'repro run "
+            "--trace').  "
             "'repro trace diff A B' instead aligns two traces span by "
             "span and reports per-span duration deltas (self-time "
             "attributed) plus the manifest changes between the runs."
@@ -627,12 +536,6 @@ def main(argv=None) -> int:
         return _view_trace(args)
     if args.experiment == "watch":
         return _run_watch(args)
-    if args.experiment == "bench":
-        # Imported lazily: the benchmark definitions import data
-        # generators and attacks the other subcommands never need.
-        from repro.bench.runner import main_bench
-
-        return main_bench(args)
 
     if args.experiment in _FIGURES:
         config = SweepConfig(

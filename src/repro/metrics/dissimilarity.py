@@ -9,7 +9,8 @@ the square root, which for ``m = 100`` caps the metric at roughly 0.02 —
 inconsistent with Figure 4's x-axis spanning 0.04 to 0.2.  The RMS
 reading (normalizer inside the root) matches the figure, so it is the
 default here; the literal reading is available for completeness.  See
-DESIGN.md for the full argument.
+"Definition 8.1: the RMS reading" in ``docs/paper_map.md`` for the full
+argument.
 """
 
 from __future__ import annotations

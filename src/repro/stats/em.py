@@ -72,7 +72,7 @@ class UnivariateGaussianMixtureEM:
         span's ``repro-convergence/v1`` payload; with tracing off the
         hook is a single predicate check and the tracker is the shared
         no-op singleton, pinned under 2% overhead by the
-        ``telemetry.convergence`` micro-benchmark.
+        overhead-budget tests in ``tests/unit/test_telemetry.py``.
 
         Raises
         ------

@@ -22,9 +22,8 @@ provides
   ``repro trace <file>``;
 * a **run-health layer**: ``/proc``-based worker resource sampling
   (:mod:`~repro.telemetry.sampler`), the live ``repro watch`` dashboard
-  tailing a stream (:mod:`~repro.telemetry.watch`), cross-run trace
-  diffing (:mod:`~repro.telemetry.diff`), and bench-history timelines
-  (:mod:`~repro.telemetry.history`);
+  tailing a stream (:mod:`~repro.telemetry.watch`), and cross-run
+  trace diffing (:mod:`~repro.telemetry.diff`);
 * **convergence telemetry**: per-iteration trackers for the iterative
   kernels (:mod:`~repro.telemetry.convergence`), serialized as
   ``repro-convergence/v1`` span payloads and surfaced by the viewer,
@@ -56,11 +55,6 @@ from repro.telemetry.convergence import (
     summarize_payloads,
 )
 from repro.telemetry.diff import diff_traces, render_diff
-from repro.telemetry.history import (
-    HISTORY_SCHEMA,
-    build_history,
-    render_history,
-)
 from repro.telemetry.manifest import (
     MANIFEST_KIND,
     build_manifest,
@@ -84,7 +78,6 @@ from repro.telemetry.watch import render_watch, watch_loop
 
 __all__ = [
     "CONVERGENCE_SCHEMA",
-    "HISTORY_SCHEMA",
     "IterationTracker",
     "MANIFEST_KIND",
     "Recorder",
@@ -92,7 +85,6 @@ __all__ = [
     "Span",
     "TRACE_SCHEMA",
     "TraceStream",
-    "build_history",
     "build_manifest",
     "collect_payloads",
     "diff_traces",
@@ -103,7 +95,6 @@ __all__ = [
     "platform_info",
     "read_trace",
     "render_diff",
-    "render_history",
     "render_trace",
     "render_watch",
     "sampling_supported",

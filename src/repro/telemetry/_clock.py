@@ -1,7 +1,7 @@
 """Sanctioned clock shims for the run-health layer.
 
 The ``wall-clock`` static-analysis rule (``repro check``) covers the
-sampler, watch, diff, and history modules: like the numerical kernels,
+sampler, watch, and diff modules: like the numerical kernels,
 they may not read clocks directly, because a stray ``time.time()``
 there is exactly how timestamps leak into payloads and cache keys.  Instead, every clock
 read in the run-health layer flows through the two shims below, so the

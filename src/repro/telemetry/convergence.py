@@ -17,8 +17,8 @@ shared no-op :data:`NULL_TRACKER` singleton when tracing is disabled.
 — no ``**kwargs`` — so the disabled path allocates neither dicts nor
 lists, and kernels guard any derived statistics (a condition number, a
 vectorized max) behind ``tracker.enabled`` so the disabled path never
-computes them either.  The combined budget is pinned under 2% by the
-``telemetry.convergence`` bench case and its regression test.
+computes them either.  The combined budget is pinned under 2% of an EM
+fit by the overhead-budget tests in ``tests/unit/test_telemetry.py``.
 
 While a fit runs, the tracker also feeds ``kernel.<name>.*`` heartbeat
 gauges and counters into the recorder, whose trace stream carries

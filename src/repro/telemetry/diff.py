@@ -6,11 +6,10 @@ in duration with self-time attribution — so "the sweep got 40% slower"
 decomposes into "EM iterations in these three jobs" instead of a
 number.  Alignment is structural, not positional: a span's identity is
 its ancestry path where each step prefers the engine cache key
-(``attrs.key`` — worker- and schedule-independent), then the bench
-case name (``attrs.case``), and only falls back to name + occurrence
-index among same-name siblings.  Two runs of the same spec therefore
-align job-for-job even when a worker pool completed them in a
-different order.
+(``attrs.key`` — worker- and schedule-independent), and only falls
+back to name + occurrence index among same-name siblings.  Two runs of
+the same spec therefore align job-for-job even when a worker pool
+completed them in a different order.
 
 The manifest delta answers the *why* half: spec hash, seed lineage,
 git revision, and package versions are compared field by field, so a
@@ -54,9 +53,6 @@ def _span_stats(roots: list[Span]) -> dict[str, dict[str, Any]]:
         key = span.attrs.get("key")
         if isinstance(key, str) and key:
             return f"{span.name}[{key}]"
-        case = span.attrs.get("case")
-        if isinstance(case, str) and case:
-            return f"{span.name}[{case}]"
         index = counts.get(span.name, 0)
         counts[span.name] = index + 1
         return f"{span.name}#{index}"

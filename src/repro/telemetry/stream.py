@@ -1,13 +1,13 @@
 """Record a run to a ``repro-trace/v2`` stream, and fold one back.
 
 The stream is the one telemetry file a run writes: ``--trace PATH`` on
-every experiment subcommand and on ``repro bench``.  The recorder
+every experiment subcommand.  The recorder
 appends it line by line while the run goes (the line format is
 described in :mod:`repro.telemetry.recorder`); this module holds the
 two ends around that:
 
-* :func:`traced_run` — the one harness the CLI and ``repro bench`` open
-  around a traced run: a streaming recorder, activated, with a
+* :func:`traced_run` — the harness the CLI opens around a traced run
+  (``--trace PATH``): a streaming recorder, activated, with a
   :class:`~repro.telemetry.sampler.ResourceSampler` feeding it;
 * :func:`fold_trace` / :func:`read_trace` — fold the lines (any prefix
   of them: a stream still being written, or cut mid-line) into the

@@ -33,13 +33,12 @@ __all__ = [
 ]
 
 #: Glyph ramp shared by every sparkline in the telemetry reports
-#: (viewer, run history, watch dashboard): low value = low glyph.
+#: (viewer, watch dashboard): low value = low glyph.
 _SPARK_LEVELS = " .:-=+*#%"
 
 #: Span attributes surfaced inline in the tree view, in display order.
 _TREE_ATTRS = (
     "task",
-    "case",
     "attack",
     "cached",
     "worker",

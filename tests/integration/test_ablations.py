@@ -1,4 +1,4 @@
-"""Integration tests for the built-in ablation specs (DESIGN.md A2-A6)."""
+"""Integration tests for the built-in ablation specs A2-A6 (docs/paper_map.md)."""
 
 import numpy as np
 import pytest

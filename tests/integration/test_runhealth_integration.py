@@ -4,14 +4,12 @@ Pins the acceptance behaviors end to end: two traced runs of the same
 spec align span-for-span in ``repro trace diff`` with a known injected
 delta reported exactly; the engine's heartbeat gauges and the resource
 sampler's gauges land in real trace streams, which validate, render,
-and watch through the CLI; and ``repro bench history`` folds real bench
-payloads into timelines through the CLI.
+and watch through the CLI.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 
 import pytest
 
@@ -175,54 +173,3 @@ class TestHeartbeatAndResources:
         assert "3/3 jobs (100%, 0 cached)" in out
         assert "run complete" in out
 
-
-class TestBenchHistoryEndToEnd:
-    def _payload(self, tmp_path, name, repeat):
-        from repro.bench.runner import run_benchmarks
-
-        import repro.bench.telemetry  # noqa: F401  (case registration)
-
-        payload = run_benchmarks(
-            filter_token="span_overhead", repeat=repeat
-        )
-        path = tmp_path / name
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        return path, payload
-
-    def test_cli_bench_history_over_real_payloads(self, tmp_path, capsys):
-        path_a, _ = self._payload(tmp_path, "BENCH_A.json", 2)
-        path_b, _ = self._payload(tmp_path, "BENCH_B.json", 2)
-        assert main(
-            ["bench", "history", str(path_a), str(path_b), "--no-baseline"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "bench history: 2 run(s)" in out
-        assert "telemetry.span_overhead.smoke" in out
-
-    def test_cli_bench_history_defaults_to_committed_baseline(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        repo = pathlib.Path(__file__).resolve().parents[2]
-        committed = json.loads(
-            (repo / "benchmarks/baselines/BENCH_BASELINE.json").read_text()
-        )
-        path, _ = self._payload(tmp_path, "BENCH_A.json", 1)
-        out_path = tmp_path / "history.json"
-        monkeypatch.chdir(repo / "tests")  # a subdirectory of the checkout
-        assert main(
-            ["bench", "history", str(path), "--json", str(out_path)]
-        ) == 0
-        case = json.loads(out_path.read_text())["cases"][
-            "telemetry.span_overhead.smoke"
-        ]
-        assert case["baseline_s"] == committed["benchmarks"][
-            "telemetry.span_overhead.smoke"
-        ]["seconds_min"]
-
-    def test_cli_bench_history_without_files_errors(self, capsys):
-        assert main(["bench", "history"]) == 2
-        assert "at least one" in capsys.readouterr().err
-
-    def test_cli_bench_unknown_subcommand_errors(self, capsys):
-        assert main(["bench", "histry"]) == 2
-        assert "unknown bench subcommand" in capsys.readouterr().err

@@ -333,31 +333,3 @@ class TestCliTraceRoundTrip:
         bad.write_text(json.dumps({"schema": "other"}))
         assert main(["trace", str(bad)]) == 1
         capsys.readouterr()
-
-    def test_bench_trace(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)  # keep bench JSON mirrors out of the repo
-        trace_path = tmp_path / "bench.jsonl"
-        code = main(
-            [
-                "bench",
-                "--filter",
-                "telemetry.span_overhead",
-                "--repeat",
-                "1",
-                "--no-baseline",
-                "--trace",
-                str(trace_path),
-            ]
-        )
-        assert code == 0
-        document = validate_trace(read_trace(trace_path))
-        [case] = [
-            span
-            for span in document["spans"]
-            if span["name"] == "bench.case"
-        ]
-        assert case["attrs"]["case"] == "telemetry.span_overhead.smoke"
-        assert document["manifest"]["jobs"][0]["key"].startswith("telemetry.")
-        capsys.readouterr()

@@ -179,13 +179,11 @@ class TestWallClock:
         )
         assert fired(report, "wall-clock")
 
-    def test_diff_and_history_modules_in_scope(self, tmp_path):
-        for module in (
-            "repro.telemetry.diff",
-            "repro.telemetry.history",
-        ):
-            report = check_snippet(tmp_path, self.TRIGGER, module=module)
-            assert fired(report, "wall-clock"), module
+    def test_diff_module_in_scope(self, tmp_path):
+        report = check_snippet(
+            tmp_path, self.TRIGGER, module="repro.telemetry.diff"
+        )
+        assert fired(report, "wall-clock")
 
     def test_clock_shim_module_is_exempt(self, tmp_path):
         # The _clock shims are the sanctioned touch point: direct reads

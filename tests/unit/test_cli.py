@@ -1,5 +1,7 @@
 """Unit tests for the repro CLI."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -59,6 +61,24 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure9"])
+
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_help_lists_no_bench(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "figure1" in out
+        assert "bench" not in out
+
+    def test_bench_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.bench")
 
 
 class TestMain:

@@ -604,7 +604,6 @@ class TestOverheadBudget:
         Every instrumented kernel iteration pays one ``enabled`` probe
         and (when the guard is mis-skipped) one no-op ``record()``;
         both together must stay far inside 2% of an EM fit's runtime.
-        Mirrored on the record by ``telemetry.tracker_overhead.smoke``.
         """
         from repro.stats.em import UnivariateGaussianMixtureEM
 

@@ -1,10 +1,9 @@
-"""Unit tests for cross-run trace diffing and bench history.
+"""Unit tests for cross-run trace diffing.
 
 Diff alignment is the load-bearing property: spans must pair up by
-cache key / case name across runs regardless of sibling order, deltas
-must attribute to self-time, and manifest provenance changes must
-surface field by field.  History folds bench payloads into per-case
-timelines ordered by creation time with baseline regression flagging.
+cache key across runs regardless of sibling order, deltas must
+attribute to self-time, manifest provenance changes must surface field
+by field, and convergence payloads diff per kernel.
 """
 
 from __future__ import annotations
@@ -12,14 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.telemetry import (
-    HISTORY_SCHEMA,
-    Span,
-    build_history,
-    diff_traces,
-    render_diff,
-    render_history,
-)
+from repro.telemetry import Span, diff_traces, render_diff
 
 
 def _span(name, duration, children=(), **attrs):
@@ -168,91 +160,6 @@ class TestRenderDiff:
         payload = _run({"a": 0.1})
         text = render_diff(diff_traces(payload, payload))
         assert "(no differences)" in text
-
-
-def _bench(created, **cases):
-    return {
-        "schema": "repro-bench/v1",
-        "created_unix": created,
-        "benchmarks": {
-            name: {"seconds_min": s, "seconds_mean": s * 1.05}
-            for name, s in cases.items()
-        },
-    }
-
-
-class TestBuildHistory:
-    def test_orders_by_created_unix(self):
-        history = build_history(
-            [_bench(200.0, x=0.3), _bench(100.0, x=0.1)]
-        )
-        assert history["schema"] == HISTORY_SCHEMA
-        timeline = history["cases"]["x"]["timeline"]
-        assert [p["created_unix"] for p in timeline] == [100.0, 200.0]
-        assert history["cases"]["x"]["best_s"] == 0.1
-        assert history["cases"]["x"]["latest_s"] == 0.3
-
-    def test_regression_flagged_against_baseline(self):
-        history = build_history(
-            [_bench(1.0, x=0.1), _bench(2.0, x=0.2)],
-            baseline=_bench(0.0, x=0.1),
-        )
-        case = history["cases"]["x"]
-        assert case["baseline_ratio"] == pytest.approx(2.0)
-        assert case["regressed"] is True
-        assert history["regressions"] == ["x"]
-
-    def test_latest_not_history_minimum_decides(self):
-        # The case *was* slow mid-history but recovered: not a
-        # regression — only the latest run is judged.
-        history = build_history(
-            [_bench(1.0, x=0.5), _bench(2.0, x=0.1)],
-            baseline=_bench(0.0, x=0.1),
-        )
-        assert history["regressions"] == []
-
-    def test_no_baseline_never_regresses(self):
-        history = build_history([_bench(1.0, x=99.0)])
-        assert history["cases"]["x"]["baseline_s"] is None
-        assert history["regressions"] == []
-
-    def test_rejects_empty_and_malformed(self):
-        with pytest.raises(ValidationError, match="at least one"):
-            build_history([])
-        with pytest.raises(ValidationError, match="payload 0"):
-            build_history([{"nope": 1}])
-
-    def test_case_missing_from_some_runs(self):
-        history = build_history(
-            [_bench(1.0, x=0.1), _bench(2.0, x=0.1, y=0.2)]
-        )
-        assert history["cases"]["x"]["runs"] == 2
-        assert history["cases"]["y"]["runs"] == 1
-
-
-class TestRenderHistory:
-    def test_table_and_regression_marker(self):
-        history = build_history(
-            [_bench(1.0, x=0.1), _bench(2.0, x=0.3)],
-            baseline=_bench(0.0, x=0.1),
-        )
-        text = render_history(history)
-        assert "2 run(s), 1 case(s)" in text
-        assert "<< REGRESSION" in text
-        assert "3.00x" in text
-
-    def test_sparkline_tracks_shape(self):
-        history = build_history(
-            [_bench(float(i), x=s) for i, s in
-             enumerate([0.1, 0.1, 0.5])]
-        )
-        text = render_history(history)
-        row = next(line for line in text.splitlines()
-                   if line.startswith("x"))
-        spark = row.rstrip()[-3:]
-        # Two fast runs at the floor, one slow spike at the ceiling.
-        assert spark[0] == spark[1]
-        assert spark[2] != spark[0]
 
 
 # ----------------------------------------------------------------------
