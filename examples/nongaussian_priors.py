@@ -1,18 +1,17 @@
-"""Beyond Gaussian priors: distribution reconstruction + numerical MAP.
+"""Beyond Gaussian priors: attack with a reconstructed distribution.
 
 Section 6 derives BE-DR in closed form for multivariate normal data and
-notes that other distributions need numerical methods ("such as Gradient
-descent") — deferred to future work.  This example implements that path
-for a bimodal attribute (e.g. a lab value with healthy and pathological
-clusters):
+leaves other distributions to future work.  UDR (Section 4.2) already
+covers the univariate case without that assumption: its posterior mean
+can use any prior ``f_X``, including one the adversary recovers from the
+disguised data.  This example runs that path on a bimodal attribute
+(e.g. a lab value with healthy and pathological clusters):
 
-1. The adversary first recovers the attribute's *distribution* from the
+1. The adversary recovers the attribute's *distribution* from the
    disguised sample with the Agrawal-Srikant iterative reconstruction —
    the bimodality reappears even though the disguised histogram is mush.
-2. They fit a two-component Gaussian mixture to samples of that
-   recovered density (EM), and
-3. run the gradient-ascent MAP attack with the mixture prior, beating
-   the Gaussian-prior UDR baseline on per-record reconstruction.
+2. UDR with that recovered prior beats UDR with a moment-matched
+   Gaussian prior on per-record reconstruction.
 
 Run:  python examples/nongaussian_priors.py
 """
@@ -20,18 +19,20 @@ Run:  python examples/nongaussian_priors.py
 import numpy as np
 
 import repro
-from repro.stats.em import UnivariateGaussianMixtureEM
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
     sigma = 4.0
+    n_records = 4000
 
     # Ground truth: 60/40 bimodal attribute (say, a biomarker).
-    true_prior = repro.GaussianMixtureDensity(
-        weights=[0.6, 0.4], means=[-10.0, 10.0], stds=[1.5, 1.5]
-    )
-    original = true_prior.sample(4000, rng=rng).reshape(-1, 1)
+    left = rng.random(n_records) < 0.6
+    original = np.where(
+        left,
+        rng.normal(-10.0, 1.5, n_records),
+        rng.normal(10.0, 1.5, n_records),
+    ).reshape(-1, 1)
     scheme = repro.AdditiveNoiseScheme(std=sigma)
     disguised = scheme.disguise(original, rng=1)
 
@@ -48,17 +49,7 @@ def main() -> None:
         "the bimodal shape is back.\n"
     )
 
-    # -- Step 2: fit a mixture prior to the recovered density. -----------
-    em = UnivariateGaussianMixtureEM(2)
-    prior_fit = em.fit(recovered.sample(6000, rng=2), rng=3)
-    means = np.sort(prior_fit.means)
-    print("Step 2 — EM mixture fit to the recovered density:")
-    print(
-        f"  component means: {means[0]:+.2f}, {means[1]:+.2f} "
-        "(truth: -10, +10)\n"
-    )
-
-    # -- Step 3: per-record MAP with the learned non-Gaussian prior. -----
+    # -- Step 2: per-record UDR with each prior. -------------------------
     attacks = {
         "UDR (Gaussian prior)": repro.UnivariateReconstructor(
             prior="gaussian"
@@ -66,11 +57,8 @@ def main() -> None:
         "UDR (recovered prior)": repro.UnivariateReconstructor(
             prior="reconstructed", n_bins=80
         ),
-        "MAP-GD (mixture prior)": repro.MAPGradientReconstructor(
-            [prior_fit]
-        ),
     }
-    print("Step 3 — per-record reconstruction error:")
+    print("Step 2 — per-record reconstruction error:")
     for name, attack in attacks.items():
         rmse = repro.root_mean_square_error(
             original, attack.reconstruct(disguised)
@@ -81,13 +69,9 @@ def main() -> None:
         "\nThe moment-matched Gaussian prior wastes the bimodal structure;"
     )
     print(
-        "the recovered-distribution posterior mean and the mixture-prior "
-        "MAP exploit it,"
+        "the recovered-distribution posterior mean exploits it, extending"
     )
-    print(
-        "extending the paper's attack beyond its multivariate-normal "
-        "assumption."
-    )
+    print("the attack beyond the multivariate-normal assumption.")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Huang, Du, and Chen (SIGMOD 2005) showed that additive randomization
 ``Y = X + R`` leaks far more than its noise variance suggests whenever the
 data's attributes are correlated, via two reconstruction attacks (PCA-DR
 and BE-DR), and proposed correlated noise as the countermeasure.  This
-package implements the complete system: data generation, randomization
-schemes, all reconstruction attacks, privacy metrics, the defense, and
-the experiment harness that regenerates every figure in the paper.
+package implements data generation, the randomization schemes, the
+reconstruction attacks, the reconstruction-error metrics, the defense,
+and the experiment harness that regenerates every figure in the paper.
 
 Quickstart
 ----------
@@ -50,23 +50,11 @@ from repro.exceptions import (
     SpectrumError,
     ValidationError,
 )
-from repro.metrics.breach import (
-    amplification_factor,
-    amplification_prevents_breach,
-    breach_occurs,
-    posterior_distribution,
-    worst_case_posterior,
-)
 from repro.metrics.dissimilarity import correlation_dissimilarity
 from repro.metrics.error import (
     mean_square_error,
     per_attribute_rmse,
     root_mean_square_error,
-)
-from repro.metrics.privacy import (
-    interval_privacy,
-    mutual_information_privacy,
-    privacy_gain,
 )
 from repro.randomization.additive import AdditiveNoiseScheme
 from repro.randomization.base import (
@@ -76,11 +64,9 @@ from repro.randomization.base import (
 )
 from repro.randomization.correlated import CorrelatedNoiseScheme
 from repro.randomization.distribution_recon import reconstruct_distribution
-from repro.randomization.randomized_response import WarnerRandomizedResponse
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.reconstruction.bedr import BayesEstimateReconstructor
 from repro.reconstruction.kalman import KalmanSmootherReconstructor
-from repro.reconstruction.map_gd import MAPGradientReconstructor
 from repro.reconstruction.ndr import NoiseDistributionReconstructor
 from repro.reconstruction.partial_disclosure import (
     ConditionalDisclosureReconstructor,
@@ -101,14 +87,10 @@ from repro.reconstruction.wiener import WienerSmootherReconstructor
 from repro.stats.density import (
     Density,
     GaussianDensity,
-    GaussianMixtureDensity,
     HistogramDensity,
-    LaplaceDensity,
     UniformDensity,
 )
-from repro.mining.association import AprioriMiner, FrequentItemset, MaskScheme
 from repro.mining.naive_bayes import GaussianNaiveBayes, utility_report
-from repro.stats.kde import GaussianKDE
 from repro.stats.mvn import MultivariateNormal
 
 #: Package version; participates in engine cache keys so upgrading
@@ -158,18 +140,10 @@ __all__ = [
     "SpectrumError",
     "ValidationError",
     # metrics
-    "amplification_factor",
-    "amplification_prevents_breach",
-    "breach_occurs",
-    "posterior_distribution",
-    "worst_case_posterior",
     "correlation_dissimilarity",
     "mean_square_error",
     "per_attribute_rmse",
     "root_mean_square_error",
-    "interval_privacy",
-    "mutual_information_privacy",
-    "privacy_gain",
     # randomization
     "AdditiveNoiseScheme",
     "DisguisedDataset",
@@ -177,13 +151,11 @@ __all__ = [
     "RandomizationScheme",
     "CorrelatedNoiseScheme",
     "reconstruct_distribution",
-    "WarnerRandomizedResponse",
     # reconstruction
     "ReconstructionResult",
     "Reconstructor",
     "BayesEstimateReconstructor",
     "KalmanSmootherReconstructor",
-    "MAPGradientReconstructor",
     "NoiseDistributionReconstructor",
     "ConditionalDisclosureReconstructor",
     "PCAReconstructor",
@@ -196,18 +168,12 @@ __all__ = [
     "UnivariateReconstructor",
     "WienerSmootherReconstructor",
     # mining
-    "AprioriMiner",
-    "FrequentItemset",
-    "MaskScheme",
     "GaussianNaiveBayes",
     "utility_report",
     # stats
     "Density",
     "GaussianDensity",
-    "GaussianMixtureDensity",
     "HistogramDensity",
-    "LaplaceDensity",
     "UniformDensity",
-    "GaussianKDE",
     "MultivariateNormal",
 ]

@@ -83,7 +83,7 @@ class ModuleContext:
         reports are stable across machines).
     module:
         Dotted module name, derived by walking ``__init__.py`` parents
-        (e.g. ``"repro.stats.em"``); scripts outside a package get their
+        (e.g. ``"repro.stats.mvn"``); scripts outside a package get their
         bare stem.  Scoped rules match their prefixes against this.
     source:
         Full file text.

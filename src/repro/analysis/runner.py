@@ -95,7 +95,7 @@ def discover_files(paths) -> list[pathlib.Path]:
 def module_name_for(path: pathlib.Path) -> str:
     """Dotted module name, walking up through ``__init__.py`` parents.
 
-    ``src/repro/stats/em.py`` maps to ``"repro.stats.em"``; a script
+    ``src/repro/stats/mvn.py`` maps to ``"repro.stats.mvn"``; a script
     outside any package maps to its bare stem, which keeps it out of
     every scoped rule.
     """

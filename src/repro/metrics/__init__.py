@@ -1,42 +1,21 @@
-"""Privacy and accuracy metrics.
+"""Reconstruction-error metrics.
 
 The paper quantifies privacy as the distance between the reconstruction
 ``X_hat`` and the original ``X`` (Section 3): root mean square error is
 what every figure plots.  Definition 8.1's correlation dissimilarity
-drives the improved-scheme experiment, and two standard privacy measures
-from the surrounding literature round out the toolbox.
+drives the improved-scheme experiment.
 """
 
-from repro.metrics.breach import (
-    amplification_factor,
-    amplification_prevents_breach,
-    breach_occurs,
-    posterior_distribution,
-    worst_case_posterior,
-)
 from repro.metrics.dissimilarity import correlation_dissimilarity
 from repro.metrics.error import (
     mean_square_error,
     per_attribute_rmse,
     root_mean_square_error,
 )
-from repro.metrics.privacy import (
-    interval_privacy,
-    mutual_information_privacy,
-    privacy_gain,
-)
 
 __all__ = [
-    "amplification_factor",
-    "amplification_prevents_breach",
-    "breach_occurs",
-    "posterior_distribution",
-    "worst_case_posterior",
     "correlation_dissimilarity",
     "mean_square_error",
     "per_attribute_rmse",
     "root_mean_square_error",
-    "interval_privacy",
-    "mutual_information_privacy",
-    "privacy_gain",
 ]

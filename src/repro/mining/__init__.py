@@ -7,13 +7,9 @@ Sigma_r``).  This package demonstrates that claim with a Gaussian naive
 Bayes classifier trained on moments recovered from disguised data.
 """
 
-from repro.mining.association import AprioriMiner, FrequentItemset, MaskScheme
 from repro.mining.naive_bayes import GaussianNaiveBayes, utility_report
 
 __all__ = [
-    "AprioriMiner",
-    "FrequentItemset",
-    "MaskScheme",
     "GaussianNaiveBayes",
     "utility_report",
 ]

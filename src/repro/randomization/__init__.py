@@ -1,12 +1,10 @@
 """Randomization (data-disguising) schemes and distribution recovery.
 
 The object of study: additive random perturbation ``Y = X + R`` (Agrawal-
-Srikant), the paper's improved *correlated-noise* variant (Section 8), the
-randomized-response technique for categorical data (Warner; used by the
-related work in Section 2), and the iterative Bayes procedure that
-recovers the original distribution from disguised data — the
-"data mining still works" half of the randomization story and the source
-of UDR's prior.
+Srikant), the paper's improved *correlated-noise* variant (Section 8), and
+the iterative Bayes procedure that recovers the original distribution
+from disguised data — the "data mining still works" half of the
+randomization story and the source of UDR's prior.
 """
 
 from repro.randomization.additive import AdditiveNoiseScheme
@@ -16,7 +14,6 @@ from repro.randomization.distribution_recon import (
     reconstruct_distribution,
     reconstruction_sweep,
 )
-from repro.randomization.randomized_response import WarnerRandomizedResponse
 
 __all__ = [
     "AdditiveNoiseScheme",
@@ -25,5 +22,4 @@ __all__ = [
     "CorrelatedNoiseScheme",
     "reconstruct_distribution",
     "reconstruction_sweep",
-    "WarnerRandomizedResponse",
 ]

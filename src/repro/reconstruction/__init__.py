@@ -25,14 +25,11 @@ Extensions (Section 3's other factors / Section 9 future work):
   per channel.
 * :class:`KalmanSmootherReconstructor` — joint temporal + cross-channel
   state-space smoothing (RTS).
-* :class:`MAPGradientReconstructor` — non-Gaussian priors via gradient
-  ascent on the log-posterior.
 """
 
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.reconstruction.kalman import KalmanSmootherReconstructor
 from repro.reconstruction.bedr import BayesEstimateReconstructor
-from repro.reconstruction.map_gd import MAPGradientReconstructor
 from repro.reconstruction.ndr import NoiseDistributionReconstructor
 from repro.reconstruction.partial_disclosure import (
     ConditionalDisclosureReconstructor,
@@ -56,7 +53,6 @@ __all__ = [
     "Reconstructor",
     "KalmanSmootherReconstructor",
     "BayesEstimateReconstructor",
-    "MAPGradientReconstructor",
     "NoiseDistributionReconstructor",
     "ConditionalDisclosureReconstructor",
     "PCAReconstructor",

@@ -1,4 +1,4 @@
-"""Statistics substrate: densities, KDE, multivariate normal, EM.
+"""Statistics substrate: univariate densities and the multivariate normal.
 
 UDR (Section 4.2) needs univariate densities for the prior ``f_X``, the
 noise ``f_R``, and their convolution ``f_Y``; BE-DR (Section 6) needs a
@@ -9,27 +9,17 @@ partial-disclosure extension.
 from repro.stats.density import (
     Density,
     GaussianDensity,
-    GaussianMixtureDensity,
     HistogramDensity,
-    LaplaceDensity,
     UniformDensity,
 )
-from repro.stats.em import UnivariateGaussianMixtureEM
-from repro.stats.kde import GaussianKDE, cv_bandwidth, silverman_bandwidth
 from repro.stats.moments import standardize, weighted_mean_and_variance
 from repro.stats.mvn import MultivariateNormal
 
 __all__ = [
     "Density",
     "GaussianDensity",
-    "GaussianMixtureDensity",
     "HistogramDensity",
-    "LaplaceDensity",
     "UniformDensity",
-    "UnivariateGaussianMixtureEM",
-    "GaussianKDE",
-    "silverman_bandwidth",
-    "cv_bandwidth",
     "standardize",
     "weighted_mean_and_variance",
     "MultivariateNormal",

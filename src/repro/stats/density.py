@@ -22,8 +22,6 @@ __all__ = [
     "Density",
     "GaussianDensity",
     "UniformDensity",
-    "LaplaceDensity",
-    "GaussianMixtureDensity",
     "HistogramDensity",
 ]
 
@@ -158,158 +156,6 @@ class UniformDensity(Density):
 
     def __repr__(self) -> str:
         return f"UniformDensity(low={self._low:g}, high={self._high:g})"
-
-
-class LaplaceDensity(Density):
-    """Laplace density with location ``mu`` and scale ``b``.
-
-    Included as a heavier-tailed noise alternative; historically relevant
-    because additive Laplace noise later became the differential-privacy
-    mechanism of choice.
-
-    Parameters
-    ----------
-    mean:
-        Location ``mu``.
-    scale:
-        Scale ``b > 0`` (variance is ``2 b^2``).
-    """
-
-    def __init__(self, mean: float = 0.0, scale: float = 1.0):
-        self._mean = check_in_range(mean, "mean")
-        self._scale = check_in_range(
-            scale, "scale", low=0.0, inclusive_low=False
-        )
-
-    def pdf(self, x) -> np.ndarray:
-        """``exp(-|x - mu| / b) / (2 b)`` evaluated elementwise."""
-        z = np.abs(self._as_array(x) - self._mean) / self._scale
-        return np.exp(-z) / (2.0 * self._scale)
-
-    @property
-    def mean(self) -> float:
-        """Location parameter ``mu``."""
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """``2 b^2``."""
-        return 2.0 * self._scale**2
-
-    def support(self, coverage: float = 0.9999) -> tuple[float, float]:
-        """Central interval ``mu -+ b * log(1 - coverage)``."""
-        check_in_range(coverage, "coverage", low=0.0, high=1.0,
-                       inclusive_low=False)
-        halfwidth = -self._scale * math.log(1.0 - coverage)
-        return (self._mean - halfwidth, self._mean + halfwidth)
-
-    def sample(self, size: int, rng=None) -> np.ndarray:
-        """Draw ``size`` i.i.d. Laplace variates, shape ``(size,)``."""
-        return as_generator(rng).laplace(self._mean, self._scale, size=size)
-
-    def __repr__(self) -> str:
-        return f"LaplaceDensity(mean={self._mean:g}, scale={self._scale:g})"
-
-
-class GaussianMixtureDensity(Density):
-    """Finite mixture of Gaussians ``sum_k w_k N(mu_k, sigma_k^2)``.
-
-    Serves as the non-Gaussian prior for the gradient-descent MAP
-    extension (Section 6's closing remark about numerical methods for
-    other distributions).
-
-    Parameters
-    ----------
-    weights:
-        Non-negative component weights, shape ``(k,)``; normalized
-        internally to sum to one.
-    means:
-        Component means ``mu_k``, shape ``(k,)``.
-    stds:
-        Component standard deviations ``sigma_k > 0``, shape ``(k,)``.
-    """
-
-    def __init__(self, weights, means, stds):
-        self._weights = check_vector(weights, "weights")
-        self._means = check_vector(means, "means")
-        self._stds = check_vector(stds, "stds")
-        if not (
-            self._weights.size == self._means.size == self._stds.size
-        ):
-            raise ValidationError(
-                "weights, means, and stds must have the same length"
-            )
-        if np.any(self._weights < 0.0):
-            raise ValidationError("mixture weights must be non-negative")
-        total = float(self._weights.sum())
-        if total <= 0.0:
-            raise ValidationError("mixture weights must sum to a positive value")
-        self._weights = self._weights / total
-        if np.any(self._stds <= 0.0):
-            raise ValidationError("mixture stds must be positive")
-
-    @property
-    def n_components(self) -> int:
-        """Number of mixture components."""
-        return int(self._weights.size)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Normalized component weights."""
-        return self._weights.copy()
-
-    @property
-    def means(self) -> np.ndarray:
-        """Component means."""
-        return self._means.copy()
-
-    @property
-    def stds(self) -> np.ndarray:
-        """Component standard deviations."""
-        return self._stds.copy()
-
-    def pdf(self, x) -> np.ndarray:
-        """Weighted sum of component normals; shape follows ``x``."""
-        array = self._as_array(x)
-        flat = np.atleast_1d(array).ravel()
-        z = (flat[:, None] - self._means[None, :]) / self._stds[None, :]
-        comp = np.exp(-0.5 * z * z) / (
-            self._stds[None, :] * math.sqrt(2.0 * math.pi)
-        )
-        return (comp @ self._weights).reshape(array.shape)
-
-    @property
-    def mean(self) -> float:
-        """Mixture mean ``sum_k w_k mu_k``."""
-        return float(self._weights @ self._means)
-
-    @property
-    def variance(self) -> float:
-        """``sum_k w_k (sigma_k^2 + mu_k^2) - mean^2``."""
-        second_moment = float(
-            self._weights @ (self._stds**2 + self._means**2)
-        )
-        return second_moment - self.mean**2
-
-    def support(self, coverage: float = 0.9999) -> tuple[float, float]:
-        """Union of the per-component central coverage intervals."""
-        halfwidth = _gaussian_halfwidth(coverage)
-        lows = self._means - halfwidth * self._stds
-        highs = self._means + halfwidth * self._stds
-        return (float(lows.min()), float(highs.max()))
-
-    def sample(self, size: int, rng=None) -> np.ndarray:
-        """Ancestral sampling: pick components by weight, then draw normals."""
-        generator = as_generator(rng)
-        component = generator.choice(
-            self.n_components, size=size, p=self._weights
-        )
-        return generator.normal(
-            self._means[component], self._stds[component]
-        )
-
-    def __repr__(self) -> str:
-        return f"GaussianMixtureDensity(n_components={self.n_components})"
 
 
 class HistogramDensity(Density):

@@ -1,8 +1,8 @@
 """Iteration-level convergence tracking for iterative kernels.
 
-Spans (PR 4) bound a kernel in time; this module opens the box between
-``em.fit`` start and end.  An :class:`IterationTracker` collects one
-record per iteration — objective value (log-likelihood, log-posterior,
+Spans bound a kernel in time; this module opens the box between
+``kalman.filter`` start and end.  An :class:`IterationTracker` collects
+one record per iteration — objective value (log-likelihood, log-posterior,
 CV score), delta norm, damping/step rejections, condition numbers —
 and, on :meth:`~IterationTracker.finish`, serializes the trajectory as
 a versioned ``repro-convergence/v1`` payload attached to the owning
@@ -17,8 +17,9 @@ shared no-op :data:`NULL_TRACKER` singleton when tracing is disabled.
 — no ``**kwargs`` — so the disabled path allocates neither dicts nor
 lists, and kernels guard any derived statistics (a condition number, a
 vectorized max) behind ``tracker.enabled`` so the disabled path never
-computes them either.  The combined budget is pinned under 2% of an EM
-fit by the overhead-budget tests in ``tests/unit/test_telemetry.py``.
+computes them either.  The combined budget is pinned under 2% of a
+Kalman smooth by the overhead-budget tests in
+``tests/unit/test_telemetry.py``.
 
 While a fit runs, the tracker also feeds ``kernel.<name>.*`` heartbeat
 gauges and counters into the recorder, whose trace stream carries
@@ -104,9 +105,10 @@ class IterationTracker:
     Parameters
     ----------
     kernel:
-        Dotted kernel label, e.g. ``"em.fit"`` or ``"map_gd.ascent"``;
-        names the payload, the ``kernel.<name>.*`` heartbeat gauges,
-        and the viewer's per-kernel aggregation.
+        Dotted kernel label, e.g. ``"kalman.filter"`` or
+        ``"linalg.cholesky"``; names the payload, the
+        ``kernel.<name>.*`` heartbeat gauges, and the viewer's
+        per-kernel aggregation.
     recorder:
         The active recorder receiving heartbeat gauges/counters, or
         ``None`` for a detached tracker (payload only).

@@ -3,7 +3,7 @@
 ``repro trace diff A.json B.json`` aligns the span trees of two
 ``repro-trace/v2`` documents and reports, per aligned span, the change
 in duration with self-time attribution — so "the sweep got 40% slower"
-decomposes into "EM iterations in these three jobs" instead of a
+decomposes into "Kalman iterations in these three jobs" instead of a
 number.  Alignment is structural, not positional: a span's identity is
 its ancestry path where each step prefers the engine cache key
 (``attrs.key`` — worker- and schedule-independent), and only falls

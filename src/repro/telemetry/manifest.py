@@ -129,8 +129,9 @@ def build_manifest(
         :attr:`~repro.engine.progress.TraceReporter.rows` — each a dict
         with ``key``, ``duration``, and ``cached``, plus an optional
         per-kernel ``convergence`` summary harvested from the job's
-        worker trace fragment.  Joined onto the job table by cache key;
-        jobs without a row keep lineage only.
+        worker trace fragment.  Joined onto the spec's job table by
+        cache key, so they are read only with ``spec``; jobs without a
+        row keep lineage only.
     extra:
         Free-form annotations stored under ``"extra"``.
 
@@ -174,18 +175,6 @@ def build_manifest(
                 entry["cached"] = bool(row["cached"])
                 if "convergence" in row:
                     entry["convergence"] = row["convergence"]
-            table.append(entry)
-        manifest["jobs"] = table
-    elif rows is not None:
-        table = []
-        for row in rows:
-            entry = {
-                "key": row["key"],
-                "duration": float(row["duration"]),
-                "cached": bool(row["cached"]),
-            }
-            if "convergence" in row:
-                entry["convergence"] = row["convergence"]
             table.append(entry)
         manifest["jobs"] = table
     if extra:

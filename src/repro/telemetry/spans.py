@@ -26,7 +26,8 @@ class Span:
     Attributes
     ----------
     name:
-        Dotted operation label, e.g. ``"engine.job"`` or ``"em.fit"``.
+        Dotted operation label, e.g. ``"engine.job"`` or
+        ``"kalman.smooth"``.
     start_unix:
         Wall-clock start (``time.time()``); wall time is the only clock
         comparable across processes, so queue-wait arithmetic uses it.

@@ -4,7 +4,7 @@ Usage in instrumented modules::
 
     from repro.telemetry import trace
 
-    with trace.span("em.sweep", n=n) as span:
+    with trace.span("kalman.smooth", n=n) as span:
         ...
         span.set(iterations=iterations)
     trace.count("cache.hit")
@@ -36,7 +36,6 @@ __all__ = [
     "enabled",
     "active_recorder",
     "recording",
-    "disabled",
     "span",
     "count",
     "gauge",
@@ -138,24 +137,6 @@ def recording(recorder: Recorder | None = None) -> Iterator[Recorder]:
     _ACTIVE = active
     try:
         yield active
-    finally:
-        _ACTIVE = previous
-
-
-@contextlib.contextmanager
-def disabled() -> Iterator[None]:
-    """Suppress tracing for the duration of the ``with`` block.
-
-    The inverse of :func:`recording`: code inside the block sees
-    tracing as off even under an active recorder.  Used by workloads
-    that must measure (or guarantee) the no-op fast path regardless of
-    the caller's tracing state.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = None
-    try:
-        yield
     finally:
         _ACTIVE = previous
 

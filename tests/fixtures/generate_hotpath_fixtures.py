@@ -15,6 +15,9 @@ Run from the repository root::
 
 Only rerun this against a commit whose outputs are the accepted
 reference; regenerating it against a broken tree would mask regressions.
+The committed file also holds the keys of routines that have since been
+deleted (MAP-GD, KDE, the EM mixture fit, the breach metrics); nothing
+reads them, and this script no longer writes them.
 """
 
 from __future__ import annotations
@@ -24,15 +27,11 @@ import pathlib
 import numpy as np
 
 from repro.linalg.covariance import ledoit_wolf_covariance
-from repro.metrics.breach import amplification_factor, worst_case_posterior
 from repro.randomization.base import NoiseModel
 from repro.randomization.distribution_recon import reconstruct_distribution
-from repro.reconstruction.map_gd import MAPGradientReconstructor
 from repro.reconstruction.udr import UnivariateReconstructor
 from repro.reconstruction.wiener import WienerSmootherReconstructor
-from repro.stats.density import GaussianDensity, GaussianMixtureDensity
-from repro.stats.em import UnivariateGaussianMixtureEM
-from repro.stats.kde import GaussianKDE
+from repro.stats.density import GaussianDensity
 
 OUT = pathlib.Path(__file__).parent / "hotpath_regression.npz"
 
@@ -58,24 +57,9 @@ def main() -> None:
     udr = UnivariateReconstructor(prior="reconstructed", n_bins=32)
     fixtures["udr_estimate"] = udr.reconstruct(table, model).estimate
 
-    # --- MAP gradient ascent under a mixture prior
-    prior = GaussianMixtureDensity(
-        weights=[0.6, 0.4], means=[-2.0, 3.0], stds=[0.6, 1.0]
-    )
-    map_gd = MAPGradientReconstructor(
-        [prior, GaussianDensity(0.0, 2.0)], n_starts=4, max_iter=60
-    )
-    map_table = np.column_stack([disguised[:400], disguised[100:500]])
-    fixtures["map_gd_estimate"] = map_gd.reconstruct(map_table, model).estimate
-
-    # --- Gaussian KDE evaluation
-    kde_samples = rng.normal(1.0, 2.0, 3000)
-    kde = GaussianKDE(kde_samples)
-    grid = np.linspace(-8.0, 10.0, 501)
-    fixtures["kde_samples"] = kde_samples
-    fixtures["kde_grid"] = grid
-    fixtures["kde_pdf"] = kde.pdf(grid)
-    fixtures["kde_bandwidth"] = np.array([kde.bandwidth])
+    # The deleted KDE fixture drew its samples here; the draw stays so
+    # the sections below see the stream the committed file was made with.
+    rng.normal(1.0, 2.0, 3000)
 
     # --- Wiener smoother on a slow sinusoid + noise
     t = np.arange(4000, dtype=np.float64)
@@ -100,30 +84,6 @@ def main() -> None:
     fixtures["lw_data"] = lw_data
     fixtures["lw_cov"] = lw_cov
     fixtures["lw_shrinkage"] = np.array([lw_shrink])
-
-    # --- EM mixture fit
-    em = UnivariateGaussianMixtureEM(2, max_iter=300)
-    density = em.fit(original, rng=np.random.default_rng(7))
-    fixtures["em_weights"] = density.weights
-    fixtures["em_means"] = density.means
-    fixtures["em_stds"] = density.stds
-
-    # --- discrete breach metrics
-    channel = np.array(
-        [
-            [0.70, 0.10, 0.05, 0.15],
-            [0.10, 0.60, 0.15, 0.15],
-            [0.10, 0.15, 0.60, 0.15],
-            [0.10, 0.15, 0.20, 0.55],
-        ]
-    )
-    prior_pi = np.array([0.4, 0.3, 0.2, 0.1])
-    fixtures["breach_channel"] = channel
-    fixtures["breach_prior"] = prior_pi
-    fixtures["breach_worst"] = np.array(
-        [worst_case_posterior(prior_pi, channel, [0, 2])]
-    )
-    fixtures["breach_gamma"] = np.array([amplification_factor(channel)])
 
     np.savez_compressed(OUT, **fixtures)
     print(f"wrote {OUT} ({len(fixtures)} arrays)")

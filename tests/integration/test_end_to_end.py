@@ -58,15 +58,6 @@ class TestCensusScenario:
         # The census table is low-rank: BE-DR should cut RMSE by >40%.
         assert be < 0.6 * ndr
 
-    def test_interval_privacy_shrinks_under_attack(self, census_attack):
-        table, disguised = census_attack
-        be = repro.BayesEstimateReconstructor().reconstruct(disguised)
-        naive_widths = repro.interval_privacy(
-            table.values, disguised.disguised
-        )
-        attacked_widths = repro.interval_privacy(table.values, be)
-        assert attacked_widths.mean() < naive_widths.mean()
-
     def test_leaked_attributes_amplify_disclosure(self, census_attack):
         table, disguised = census_attack
         leaked_indices = [0, 2]  # age and income leak

@@ -104,7 +104,7 @@ class TestTraceDiffEndToEnd:
         assert all(row["status"] in {"added", "removed"} for row in jobs)
 
     def test_manifest_delta_through_real_manifests(self):
-        manifest_a = build_manifest(rows=[], extra={"run": "a"})
+        manifest_a = build_manifest(extra={"run": "a"})
         manifest_b = dict(manifest_a)
         manifest_b["packages"] = dict(manifest_a["packages"])
         manifest_b["packages"]["numpy"] = "99.0.0"

@@ -19,6 +19,8 @@ from repro.engine import (
     ResultCache,
     TraceReporter,
 )
+from repro.randomization.additive import AdditiveNoiseScheme
+from repro.reconstruction.kalman import KalmanSmootherReconstructor
 from repro.telemetry import (
     Recorder,
     build_manifest,
@@ -44,6 +46,15 @@ def _job_specs(n=4, n_records=80):
         )
         for i in range(n)
     ]
+
+
+def _disguised_series():
+    """A 60-step, 2-channel random walk under additive noise."""
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    series = np.cumsum(rng.normal(size=(60, 2)), axis=0) * 0.1
+    return AdditiveNoiseScheme(std=1.0).disguise(series, rng=4)
 
 
 def _engine_jobs(document):
@@ -120,47 +131,33 @@ class TestTracedEngineRuns:
     def test_kernel_hooks_emit_spans(self):
         import numpy as np
 
-        from repro.stats.em import UnivariateGaussianMixtureEM
-        from repro.stats.kde import GaussianKDE
+        from repro.linalg.psd import cholesky_with_jitter
 
-        rng = np.random.default_rng(3)
-        samples = np.concatenate(
-            [rng.normal(-1.0, 0.5, 100), rng.normal(2.0, 0.8, 100)]
-        )
         recorder = Recorder()
         with trace.recording(recorder):
-            GaussianKDE(samples).pdf(np.linspace(-3.0, 4.0, 50))
-            UnivariateGaussianMixtureEM(2).fit(samples, rng=rng)
-        names = {root.name for root in recorder.roots}
-        assert names == {"kde.pdf", "em.fit"}
-        by_name = {root.name: root for root in recorder.roots}
-        assert by_name["kde.pdf"].attrs == {"n_samples": 200, "n_eval": 50}
-        assert by_name["em.fit"].attrs["iterations"] >= 1
+            KalmanSmootherReconstructor().reconstruct(_disguised_series())
+            cholesky_with_jitter(np.ones((4, 4)))
+        names = [root.name for root in recorder.roots]
+        assert names == ["kalman.smooth", "linalg.cholesky"]
+        smooth, cholesky = recorder.roots
+        assert smooth.attrs["n"] == 60 and smooth.attrs["m"] == 2
+        assert smooth.attrs["convergence"]["kernel"] == "kalman.filter"
+        assert smooth.attrs["convergence"]["iterations"] == 60
+        assert cholesky.attrs["dim"] == 4
+        assert cholesky.attrs["convergence"]["kernel"] == "linalg.cholesky"
+        assert cholesky.attrs["convergence"]["converged"] is True
+        assert cholesky.attrs["convergence"]["rejections"] == 1
 
     def test_kernel_results_identical_with_tracing_on(self):
-        # KDE, EM and data generation: tracing must not touch the numbers.
+        # Kalman and data generation: tracing must not touch the numbers.
         import numpy as np
 
-        from repro.stats.em import UnivariateGaussianMixtureEM
-        from repro.stats.kde import GaussianKDE
-
-        rng = np.random.default_rng(3)
-        samples = np.concatenate(
-            [rng.normal(-1.0, 0.5, 100), rng.normal(2.0, 0.8, 100)]
-        )
-        grid = np.linspace(-3.0, 4.0, 64)
-        plain_pdf = GaussianKDE(samples).pdf(grid)
-        plain_fit = UnivariateGaussianMixtureEM(2).fit(
-            samples, rng=np.random.default_rng(9)
-        )
+        disguised = _disguised_series()
+        attack = KalmanSmootherReconstructor()
+        plain_smooth = attack.reconstruct(disguised).estimate
         with trace.recording(Recorder()):
-            traced_pdf = GaussianKDE(samples).pdf(grid)
-            traced_fit = UnivariateGaussianMixtureEM(2).fit(
-                samples, rng=np.random.default_rng(9)
-            )
-        np.testing.assert_array_equal(traced_pdf, plain_pdf)
-        np.testing.assert_array_equal(traced_fit.means, plain_fit.means)
-        np.testing.assert_array_equal(traced_fit.weights, plain_fit.weights)
+            traced_smooth = attack.reconstruct(disguised).estimate
+        np.testing.assert_array_equal(traced_smooth, plain_smooth)
 
         from repro.data.synthetic import generate_dataset
 
@@ -222,17 +219,28 @@ class TestTracedEngineRuns:
         assert [r.values for r in traced] == [r.values for r in plain]
 
     def test_trace_reporter_rows_join_the_run(self):
+        spec = ExperimentSpec(
+            name="reporter-join",
+            task="repro.api.tasks:attack_point",
+            params=_job_specs()[0].params,
+            trials=4,
+            seed=13,
+        )
         recorder = Recorder()
         reporter = TraceReporter()
-        specs = _job_specs()
+        specs = spec.compile_jobs()
         with trace.recording(recorder):
             Engine(executor=Executor(), progress=reporter).run(specs)
         assert reporter.total == 4
         assert reporter.elapsed is not None and reporter.cached == 0
         assert {row["key"] for row in reporter.rows} == {
-            spec.key() for spec in specs
+            job.key() for job in specs
         }
-        manifest = build_manifest(rows=reporter.rows)
+        manifest = build_manifest(spec=spec, rows=reporter.rows)
+        assert all(
+            job["cached"] is False and job["duration"] >= 0.0
+            for job in manifest["jobs"]
+        )
         document = recorder.to_document(manifest=manifest)
         validate_trace(document)
 

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.stats.density import (
     GaussianDensity,
-    GaussianMixtureDensity,
     HistogramDensity,
-    LaplaceDensity,
     UniformDensity,
 )
 
@@ -21,7 +19,7 @@ _scales = st.floats(min_value=0.05, max_value=20.0,
 @st.composite
 def densities(draw):
     kind = draw(st.sampled_from(
-        ["gaussian", "uniform", "laplace", "mixture", "histogram"]
+        ["gaussian", "uniform", "histogram"]
     ))
     if kind == "gaussian":
         return GaussianDensity(draw(_means), draw(_scales))
@@ -29,16 +27,6 @@ def densities(draw):
         low = draw(_means)
         width = draw(_scales)
         return UniformDensity(low, low + width)
-    if kind == "laplace":
-        return LaplaceDensity(draw(_means), draw(_scales))
-    if kind == "mixture":
-        k = draw(st.integers(min_value=1, max_value=4))
-        return GaussianMixtureDensity(
-            weights=[draw(st.floats(min_value=0.1, max_value=1.0))
-                     for _ in range(k)],
-            means=[draw(_means) for _ in range(k)],
-            stds=[draw(_scales) for _ in range(k)],
-        )
     edges = np.cumsum(
         [draw(_means)] + [draw(_scales) for _ in range(draw(
             st.integers(min_value=2, max_value=8)))]

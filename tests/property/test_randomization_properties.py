@@ -10,7 +10,6 @@ from repro.data.spectra import two_level_spectrum
 from repro.linalg.psd import is_positive_semidefinite
 from repro.randomization.additive import AdditiveNoiseScheme
 from repro.randomization.correlated import CorrelatedNoiseScheme
-from repro.randomization.randomized_response import WarnerRandomizedResponse
 
 
 class TestAdditiveSchemeProperties:
@@ -87,46 +86,3 @@ class TestDesignedSpectrumProperties:
         assert designed.shape == (m,)
         assert np.all(designed >= 0.0)
         assert np.isclose(designed.sum(), power, rtol=1e-9)
-
-
-class TestRandomizedResponseProperties:
-    @given(
-        theta=st.floats(min_value=0.55, max_value=0.99),
-        pi=st.floats(min_value=0.05, max_value=0.95),
-        seed=st.integers(min_value=0, max_value=5000),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_proportion_estimator_consistent(self, theta, pi, seed):
-        rng = np.random.default_rng(seed)
-        scheme = WarnerRandomizedResponse(theta)
-        bits = (rng.random(30000) < pi).astype(int)
-        responses = scheme.disguise(bits, rng=seed + 1)
-        estimate = scheme.estimate_proportion(responses)
-        # 30k samples: generous 4-sigma band for the estimator.
-        se = np.sqrt(0.25 / 30000) / abs(2 * theta - 1)
-        assert abs(estimate - pi) < 4 * se + 0.01
-
-    @given(
-        theta=st.floats(min_value=0.55, max_value=0.99),
-        prior=st.floats(min_value=0.01, max_value=0.99),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_posterior_is_valid_probability(self, theta, prior):
-        scheme = WarnerRandomizedResponse(theta)
-        for response in (0, 1):
-            posterior = scheme.posterior_truth_probability(response, prior)
-            assert 0.0 <= posterior <= 1.0
-
-    @given(
-        theta=st.floats(min_value=0.55, max_value=0.99),
-        prior=st.floats(min_value=0.01, max_value=0.99),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_posterior_average_returns_prior(self, theta, prior):
-        """Law of total probability: E_response[posterior] = prior."""
-        scheme = WarnerRandomizedResponse(theta)
-        p_one = theta * prior + (1 - theta) * (1 - prior)
-        total = p_one * scheme.posterior_truth_probability(1, prior) + (
-            1 - p_one
-        ) * scheme.posterior_truth_probability(0, prior)
-        assert np.isclose(total, prior, atol=1e-12)

@@ -740,7 +740,7 @@ class TestIterHotpath:
         assert report.ok
 
     def test_early_exit_guard_is_sticky(self, tmp_path):
-        # The map_gd-style shape: bail out of the iteration when tracing
+        # A batched kernel's shape: bail out of the iteration when tracing
         # is off, then instrument freely below the guard.
         report = check_snippet(
             tmp_path,

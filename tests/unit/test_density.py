@@ -6,9 +6,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.stats.density import (
     GaussianDensity,
-    GaussianMixtureDensity,
     HistogramDensity,
-    LaplaceDensity,
     UniformDensity,
 )
 
@@ -73,75 +71,6 @@ class TestUniformDensity:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValidationError):
             UniformDensity(2.0, 1.0)
-
-
-class TestLaplaceDensity:
-    def test_pdf_at_mean(self):
-        density = LaplaceDensity(0.0, 2.0)
-        assert density.pdf(0.0) == pytest.approx(0.25)
-
-    def test_variance_is_two_scale_squared(self):
-        assert LaplaceDensity(0.0, 3.0).variance == 18.0
-
-    def test_integrates_to_one(self):
-        assert _integrate(LaplaceDensity(0.0, 1.0), -30, 30) == pytest.approx(
-            1.0, abs=1e-6
-        )
-
-    def test_support_mass(self):
-        density = LaplaceDensity(0.0, 1.0)
-        lo, hi = density.support(0.999)
-        assert _integrate(density, lo, hi) >= 0.999 - 1e-6
-
-
-class TestGaussianMixtureDensity:
-    def _bimodal(self):
-        return GaussianMixtureDensity(
-            weights=[0.4, 0.6], means=[-3.0, 2.0], stds=[1.0, 0.5]
-        )
-
-    def test_weights_normalized(self):
-        mixture = GaussianMixtureDensity([2.0, 2.0], [0.0, 1.0], [1.0, 1.0])
-        np.testing.assert_allclose(mixture.weights, [0.5, 0.5])
-
-    def test_mean_is_weighted(self):
-        assert self._bimodal().mean == pytest.approx(0.4 * -3.0 + 0.6 * 2.0)
-
-    def test_variance_formula(self):
-        mixture = self._bimodal()
-        second = 0.4 * (1.0 + 9.0) + 0.6 * (0.25 + 4.0)
-        assert mixture.variance == pytest.approx(second - mixture.mean**2)
-
-    def test_pdf_integrates_to_one(self):
-        assert _integrate(self._bimodal(), -20, 20) == pytest.approx(
-            1.0, abs=1e-6
-        )
-
-    def test_pdf_scalar_and_array_shapes(self):
-        mixture = self._bimodal()
-        assert np.ndim(mixture.pdf(0.0)) == 0
-        assert mixture.pdf(np.zeros((3, 2))).shape == (3, 2)
-
-    def test_samples_cover_both_modes(self):
-        samples = self._bimodal().sample(5000, rng=0)
-        assert np.mean(samples < -1.0) > 0.25
-        assert np.mean(samples > 0.5) > 0.4
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValidationError):
-            GaussianMixtureDensity([1.0], [0.0, 1.0], [1.0, 1.0])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValidationError):
-            GaussianMixtureDensity([-1.0, 2.0], [0.0, 1.0], [1.0, 1.0])
-
-    def test_rejects_zero_total_weight(self):
-        with pytest.raises(ValidationError):
-            GaussianMixtureDensity([0.0, 0.0], [0.0, 1.0], [1.0, 1.0])
-
-    def test_rejects_nonpositive_std(self):
-        with pytest.raises(ValidationError):
-            GaussianMixtureDensity([1.0, 1.0], [0.0, 1.0], [1.0, 0.0])
 
 
 class TestHistogramDensity:

@@ -566,18 +566,34 @@ class TestTraceReporterConvergence:
         assert "convergence" not in without
 
     def test_manifest_join_keeps_the_summary(self):
+        from repro.api.spec import ExperimentSpec
         from repro.telemetry import build_manifest, validate_trace
         from repro.telemetry.recorder import Recorder
 
+        spec = ExperimentSpec(
+            name="convergence-join",
+            task="repro.api.tasks:attack_point",
+            params={
+                "dataset": {"kind": "synthetic", "spectrum": [50.0, 10.0]},
+                "scheme": {"kind": "additive", "std": 2.0},
+                "attacks": {"UDR": {"kind": "udr"}},
+                "n_records": 50,
+            },
+            trials=2,
+            seed=3,
+        )
+        summary = {"kalman.filter": {"fits": 1, "iterations": 2}}
+        first, _ = spec.compile_jobs()
         rows = [
             {
-                "key": "bench.case",
+                "key": first.key(),
                 "duration": 0.5,
                 "cached": False,
-                "convergence": {"em.fit": {"fits": 1, "iterations": 2}},
+                "convergence": summary,
             }
         ]
-        manifest = build_manifest(rows=rows)
-        (job,) = manifest["jobs"]
-        assert job["convergence"]["em.fit"]["iterations"] == 2
+        manifest = build_manifest(spec=spec, rows=rows)
+        joined, unjoined = manifest["jobs"]
+        assert joined["convergence"] == summary
+        assert "convergence" not in unjoined
         validate_trace(Recorder().to_document(manifest=manifest))

@@ -1,26 +1,21 @@
-"""Seed-equivalence regression tests for the PR-3 vectorization pass.
+"""Seed-equivalence regression tests for the hot-path vectorization.
 
 Fixtures in ``tests/fixtures/hotpath_regression.npz`` were generated by
 ``tests/fixtures/generate_hotpath_fixtures.py`` against the tree
-*before* the hot paths were vectorized.  Each test proves the rewritten
-code reproduces the historical outputs:
+*before* the hot paths were vectorized.  The file cannot be regenerated
+from a later tree, so it stays as recorded, keys of since-deleted
+routines included.  Each test proves the rewritten code reproduces the
+historical outputs:
 
 * **bit-identical** where the rewrite only hoisted loop-invariant work
-  or batched independent trajectories (EM distribution reconstruction,
-  UDR, MAP-GD, Wiener, EM mixture fit, amplification factor);
+  or batched independent trajectories (Agrawal-Srikant distribution
+  reconstruction, UDR with a reconstructed prior, Wiener);
 * **within a documented tolerance** where floating-point summation
-  order legitimately changed:
-
-  - Gaussian KDE: kernels beyond 8.5 bandwidths are truncated and the
-    window is summed in a different association — absolute error below
-    ``2.1e-16 / (bandwidth * sqrt(2 pi))`` plus ~1e-13 relative from
-    re-association; asserted at ``rtol=1e-10, atol=1e-13 * peak``.
-  - Ledoit-Wolf: the dispersion term uses the algebraically equal
-    closed form ``sum_k (x_k . x_k)^2 - n ||S||_F^2``, which cancels
-    two large sums — asserted at ``rtol=1e-7`` on the shrinkage
-    intensity and ``rtol=1e-9`` on the covariance.
-  - worst-case posterior: per-output sums became BLAS matrix-vector
-    products — asserted at ``rel=1e-12``.
+  order legitimately changed: Ledoit-Wolf's dispersion term uses the
+  algebraically equal closed form
+  ``sum_k (x_k . x_k)^2 - n ||S||_F^2``, which cancels two large sums —
+  asserted at ``rtol=1e-7`` on the shrinkage intensity and
+  ``rtol=1e-9`` on the covariance.
 """
 
 from __future__ import annotations
@@ -31,15 +26,11 @@ import numpy as np
 import pytest
 
 from repro.linalg.covariance import ledoit_wolf_covariance
-from repro.metrics.breach import amplification_factor, worst_case_posterior
 from repro.randomization.base import NoiseModel
 from repro.randomization.distribution_recon import reconstruct_distribution
-from repro.reconstruction.map_gd import MAPGradientReconstructor
 from repro.reconstruction.udr import UnivariateReconstructor
 from repro.reconstruction.wiener import WienerSmootherReconstructor
-from repro.stats.density import GaussianDensity, GaussianMixtureDensity
-from repro.stats.em import UnivariateGaussianMixtureEM
-from repro.stats.kde import GaussianKDE
+from repro.stats.density import GaussianDensity
 
 FIXTURE_PATH = (
     pathlib.Path(__file__).parent.parent / "fixtures" / "hotpath_regression.npz"
@@ -67,45 +58,6 @@ def test_udr_reconstructed_prior_bit_identical(fx):
     np.testing.assert_array_equal(estimate, fx["udr_estimate"])
 
 
-def test_map_gd_bit_identical(fx):
-    disguised = fx["recon_input"]
-    prior = GaussianMixtureDensity(
-        weights=[0.6, 0.4], means=[-2.0, 3.0], stds=[0.6, 1.0]
-    )
-    attack = MAPGradientReconstructor(
-        [prior, GaussianDensity(0.0, 2.0)], n_starts=4, max_iter=60
-    )
-    table = np.column_stack([disguised[:400], disguised[100:500]])
-    model = NoiseModel(covariance=2.25 * np.eye(2), mean=np.zeros(2))
-    estimate = attack.reconstruct(table, model).estimate
-    np.testing.assert_array_equal(estimate, fx["map_gd_estimate"])
-
-
-def test_kde_pdf_within_documented_tolerance(fx):
-    kde = GaussianKDE(fx["kde_samples"])
-    assert kde.bandwidth == fx["kde_bandwidth"][0]
-    values = kde.pdf(fx["kde_grid"])
-    peak = 1.0 / (kde.bandwidth * np.sqrt(2.0 * np.pi))
-    np.testing.assert_allclose(
-        values, fx["kde_pdf"], rtol=1e-10, atol=1e-13 * peak
-    )
-
-
-def test_kde_truncation_matches_dense_evaluation():
-    """The windowed path agrees with an explicit dense evaluation."""
-    rng = np.random.default_rng(99)
-    samples = rng.normal(0.0, 1.0, 500)
-    kde = GaussianKDE(samples)
-    grid = np.linspace(-30.0, 30.0, 101)  # far tails included
-    dense = np.exp(
-        -0.5 * ((grid[:, None] - samples[None, :]) / kde.bandwidth) ** 2
-    ).mean(axis=1) / (kde.bandwidth * np.sqrt(2.0 * np.pi))
-    peak = 1.0 / (kde.bandwidth * np.sqrt(2.0 * np.pi))
-    np.testing.assert_allclose(
-        kde.pdf(grid), dense, rtol=1e-10, atol=3e-16 * peak
-    )
-
-
 def test_wiener_bit_identical(fx):
     model = NoiseModel(covariance=4.0 * np.eye(2), mean=np.zeros(2))
     attack = WienerSmootherReconstructor(window=21)
@@ -117,27 +69,3 @@ def test_ledoit_wolf_within_documented_tolerance(fx):
     cov, shrinkage = ledoit_wolf_covariance(fx["lw_data"])
     np.testing.assert_allclose(cov, fx["lw_cov"], rtol=1e-9)
     assert shrinkage == pytest.approx(fx["lw_shrinkage"][0], rel=1e-7)
-
-
-def test_em_mixture_fit_bit_identical(fx):
-    rng = np.random.default_rng(20050703)
-    original = np.concatenate(
-        [rng.normal(-2.0, 0.6, 600), rng.normal(3.0, 1.0, 400)]
-    )
-    em = UnivariateGaussianMixtureEM(2, max_iter=300)
-    density = em.fit(original, rng=np.random.default_rng(7))
-    np.testing.assert_array_equal(density.weights, fx["em_weights"])
-    np.testing.assert_array_equal(density.means, fx["em_means"])
-    np.testing.assert_array_equal(density.stds, fx["em_stds"])
-
-
-def test_breach_metrics_regression(fx):
-    # worst_case_posterior now reduces via BLAS matrix-vector products;
-    # summation order differs from the historical per-output loop, so
-    # the pin is allclose at 1e-12 (documented in metrics/breach.py).
-    worst = worst_case_posterior(
-        fx["breach_prior"], fx["breach_channel"], [0, 2]
-    )
-    assert worst == pytest.approx(fx["breach_worst"][0], rel=1e-12)
-    # amplification_factor is pure max/min comparisons: still exact.
-    assert amplification_factor(fx["breach_channel"]) == fx["breach_gamma"][0]
