@@ -8,9 +8,8 @@ scores.  It lives at module level so process-pool workers resolve it by
 its ``"repro.api.tasks:attack_point"`` reference.
 
 Determinism: the single engine-derived generator is consumed
-sequentially — dataset draw first, then the disguise draw — the same
-contract as the figure tasks, so results are bit-identical for any
-worker count.
+sequentially — dataset draw first, then the disguise draw — so results
+are bit-identical for any worker count.
 
 Failed attacks do not abort the point: the pipeline records the
 exception and the payload carries the nan sentinel (strict JSON has no

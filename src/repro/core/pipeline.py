@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import SyntheticDataset
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.metrics.error import per_attribute_rmse, root_mean_square_error
 from repro.randomization.base import DisguisedDataset, NoiseModel, RandomizationScheme
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
@@ -196,10 +196,20 @@ class PipelineReport:
         same encoding the engine's result cache enforces — and
         :meth:`from_dict` inverts it bit-for-bit.  Set the two flags to
         ``False`` for the compact scores-only form (no ``(n, m)``
-        matrices), e.g. when persisting large sweeps.
+        matrices), e.g. when persisting large sweeps.  A report on a
+        table-less dataset (see
+        :meth:`~repro.randomization.base.DisguisedDataset.from_moments`)
+        has no matrices to include and raises
+        :class:`~repro.exceptions.ValidationError` unless
+        ``include_dataset`` is ``False``.
         """
         dataset = None
         if include_dataset and self.dataset is not None:
+            if not self.dataset.has_tables:
+                raise ValidationError(
+                    "the report's dataset was built from moments and holds "
+                    "no tables; pass include_dataset=False"
+                )
             model = self.dataset.noise_model
             dataset = {
                 "disguised": sanitize_for_json(self.dataset.disguised),

@@ -118,6 +118,11 @@ class CovarianceModel:
             self._matrix_cache.append((product + product.T) / 2.0)
         return self._matrix_cache[0].copy()
 
+    @property
+    def root(self) -> np.ndarray:
+        """A square root ``Q diag(sqrt(lambda))``: ``root @ root.T`` is the matrix."""
+        return self.eigenvectors * np.sqrt(self.eigenvalues)
+
     # ------------------------------------------------------------------
     # Derived models
     # ------------------------------------------------------------------

@@ -4,16 +4,23 @@
 :class:`~repro.data.covariance_builder.CovarianceModel`.  Noise addition
 is the randomization scheme's job (:mod:`repro.randomization`), keeping
 generation and disguise independent, as in the paper.
+
+:func:`sample_moments` skips both tables: for Gaussian data and
+Gaussian noise it draws the joint sample mean and scatter of ``(X, R)``
+from their exact law, which is all that attacks affine in ``Y`` and
+their closed-form scores read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.covariance_builder import CovarianceModel
 from repro.exceptions import ValidationError
+from repro.randomization.base import DisguisedDataset, NoiseModel
 from repro.registry import check_spec, register_dataset
 from repro.stats.mvn import MultivariateNormal
 from repro.telemetry import trace
@@ -25,6 +32,7 @@ __all__ = [
     "SyntheticDataset",
     "SpectrumDatasetGenerator",
     "generate_dataset",
+    "sample_moments",
 ]
 
 
@@ -155,6 +163,66 @@ def generate_dataset(
     )
 
 
+def sample_moments(
+    n_records: int,
+    data_root: np.ndarray,
+    noise_root: np.ndarray,
+    noise_model: NoiseModel,
+    rng=None,
+) -> DisguisedDataset:
+    """Draw the sufficient statistics of a disguised Gaussian table.
+
+    The rows of ``X`` are ``N(0, Sigma_x)`` and those of ``R`` an
+    independent ``N(0, Sigma_r)``, with ``Sigma_x = Lx Lx^T`` and
+    ``Sigma_r = Lr Lr^T`` for the given square roots ``Lx`` (``data_root``)
+    and ``Lr`` (``noise_root``, any PSD root, e.g. ``sigma I``).  With
+    ``L = diag(Lx, Lr)`` and ``Sigma = L L^T``, the joint sample mean of
+    ``n`` records of ``(X, R)`` is ``N(0, Sigma / n)`` and their scatter
+    ``[Xc Rc]^T [Xc Rc]`` is an independent Wishart ``W(Sigma, n - 1)``;
+    both are drawn from that law directly:
+
+    * the scatter is ``L W L^T`` with ``W ~ W(I_2m, n - 1)`` drawn as
+      ``A A^T`` from its Bartlett factor ``A`` (lower triangular,
+      ``A_ii^2 ~ chi2(n - 1 - i)`` for ``i = 0 .. 2m-1``, standard
+      normal below the diagonal), or, when ``n - 1 < 2m`` and the
+      Bartlett form does not exist, as the Gram of ``n - 1`` standard
+      normal rows;
+    * the mean is ``L z / sqrt(n)`` with ``z ~ N(0, I_2m)``.
+
+    The generator is read in that order, scatter then mean.  The
+    result is a table-less
+    :meth:`~repro.randomization.base.DisguisedDataset.from_moments`
+    dataset with ``noise_model`` as its public noise description.
+    Under tracing the draw is a ``data.moments`` span (``n``, ``m``).
+    """
+    n = check_positive_int(n_records, "n_records", minimum=2)
+    m = noise_model.dim
+    if np.shape(data_root) != (m, m) or np.shape(noise_root) != (m, m):
+        raise ValidationError(
+            f"roots have shapes {np.shape(data_root)} and "
+            f"{np.shape(noise_root)}; the noise model covers {m} attributes"
+        )
+    generator = as_generator(rng)
+    dim, dof = 2 * m, n - 1
+    with trace.span("data.moments", n=n, m=m):
+        if dof >= dim:
+            factor = np.zeros((dim, dim))
+            factor[np.tril_indices(dim, -1)] = generator.standard_normal(
+                dim * (dim - 1) // 2
+            )
+            factor[np.diag_indices(dim)] = np.sqrt(
+                generator.chisquare(dof - np.arange(dim))
+            )
+        else:
+            factor = generator.standard_normal((dof, dim)).T
+        scaled = np.vstack([data_root @ factor[:m], noise_root @ factor[m:]])
+        z = generator.standard_normal(dim) / math.sqrt(n)
+        mean = np.concatenate([data_root @ z[:m], noise_root @ z[m:]])
+        return DisguisedDataset.from_moments(
+            n, mean, scaled @ scaled.T, noise_model
+        )
+
+
 @register_dataset("synthetic")
 class SpectrumDatasetGenerator:
     """Spec-constructible wrapper around :func:`generate_dataset`.
@@ -162,8 +230,8 @@ class SpectrumDatasetGenerator:
     Holds the population description (eigenvalue spectrum and optional
     mean); every :meth:`sample` call draws a fresh random eigenbasis and
     a fresh table from the provided generator — exactly the paper's
-    Section 7.1 per-trial pipeline, and exactly what the figure tasks do
-    inline.
+    Section 7.1 per-trial pipeline, which the figure tasks run in moment
+    space (:func:`sample_moments`).
 
     Parameters
     ----------

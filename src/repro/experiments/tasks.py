@@ -7,15 +7,29 @@ workers can resolve them by their ``"repro.experiments.tasks:<name>"``
 reference, and they return plain JSON-serializable payloads so the
 result cache can persist them.
 
+Figure jobs in moment space
+---------------------------
+The figure tasks (:func:`two_level_trial`, :func:`correlated_noise_trial`)
+build no table.  Their data and noise are Gaussian and all their attacks
+are affine in ``Y``, so every score is a function of the joint sample
+mean and scatter of ``(X, R)``, which
+:func:`~repro.data.synthetic.sample_moments` draws from their exact law;
+the scores have the distribution the literal Section 7.1 procedure
+(draw ``X``, add ``R``) gives them, not its bits.  That procedure is
+still :class:`~repro.core.pipeline.AttackPipeline` over
+:func:`~repro.data.synthetic.generate_dataset`, which the ablations,
+the registry specs and the examples run.
+
 Determinism contract
 --------------------
-Figure tasks consume the single engine-derived generator sequentially —
-data generation first, then the disguise draw — exactly like the
-historical in-process loops, so a task run under any executor is
-bit-identical to the serial code it replaced.  Ablation tasks reproduce
-the historical explicit integer seeding instead: they carry their seeds
-in ``params`` and ignore the ``rng`` argument (their specs use
-``seed_root=None``).
+Figure tasks consume the single engine-derived generator sequentially,
+so a task run under any executor is bit-identical to a serial run.  The
+seed lineage of a figure job is: the eigenbasis
+(:meth:`~repro.data.covariance_builder.CovarianceModel.from_spectrum`),
+then the noise design (Figure 4; it draws nothing), then the scatter,
+then the mean.  Ablation tasks reproduce the historical explicit integer
+seeding instead: they carry their seeds in ``params`` and ignore the
+``rng`` argument (their specs use ``seed_root=None``).
 """
 
 from __future__ import annotations
@@ -25,7 +39,8 @@ import numpy as np
 from repro.core.defense import NoiseDesigner
 from repro.core.pipeline import AttackPipeline, evaluate_attacks
 from repro.data.copula import GaussianCopulaGenerator
-from repro.data.synthetic import generate_dataset
+from repro.data.covariance_builder import CovarianceModel
+from repro.data.synthetic import generate_dataset, sample_moments
 from repro.mining.naive_bayes import utility_report
 from repro.randomization.additive import AdditiveNoiseScheme
 from repro.randomization.correlated import CorrelatedNoiseScheme
@@ -40,6 +55,7 @@ from repro.reconstruction.spectral_filtering import (
     SpectralFilteringReconstructor,
 )
 from repro.reconstruction.udr import UnivariateReconstructor
+from repro.telemetry import trace
 
 __all__ = [
     "two_level_trial",
@@ -63,24 +79,36 @@ def _figure_attacks() -> dict:
     }
 
 
+def _basis(params, rng) -> CovarianceModel:
+    """The job's population covariance: the spectrum in a random basis."""
+    with trace.span("data.basis"):
+        return CovarianceModel.from_spectrum(
+            np.asarray(params["spectrum"], dtype=np.float64), rng
+        )
+
+
+def _rmse(dataset, attacks) -> dict:
+    outcomes = evaluate_attacks(dataset, attacks)
+    return {name: outcome.rmse for name, outcome in outcomes.items()}
+
+
 def two_level_trial(params, rng):
     """One (sweep-point, trial) run of Experiments 1-3.
 
     params: ``spectrum`` (eigenvalue list), ``n_records``, ``noise_std``.
     Returns ``{"rmse": {method: value}}`` for the four figure attacks.
     """
-    dataset = generate_dataset(
-        spectrum=np.asarray(params["spectrum"], dtype=np.float64),
-        n_records=int(params["n_records"]),
-        rng=rng,
+    model = _basis(params, rng)
+    std = float(params["noise_std"])
+    noise_model = AdditiveNoiseScheme(std).noise_model(model.dim)
+    dataset = sample_moments(
+        int(params["n_records"]),
+        model.root,
+        std * np.eye(model.dim),
+        noise_model,
+        rng,
     )
-    pipeline = AttackPipeline(
-        AdditiveNoiseScheme(float(params["noise_std"])), _figure_attacks()
-    )
-    report = pipeline.run(dataset, rng=rng)
-    return {
-        "rmse": {name: report.rmse(name) for name in pipeline.attack_names}
-    }
+    return {"rmse": _rmse(dataset, _figure_attacks())}
 
 
 def correlated_noise_trial(params, rng):
@@ -90,24 +118,23 @@ def correlated_noise_trial(params, rng):
     Returns the three curve RMSEs plus the measured Definition-8.1
     dissimilarity of the designed noise.
     """
-    dataset = generate_dataset(
-        spectrum=np.asarray(params["spectrum"], dtype=np.float64),
-        n_records=int(params["n_records"]),
-        rng=rng,
-    )
-    designer = NoiseDesigner(
-        dataset.covariance_model, noise_power=float(params["noise_power"])
-    )
+    model = _basis(params, rng)
+    designer = NoiseDesigner(model, noise_power=float(params["noise_power"]))
     designed = designer.design(float(params["profile"]))
+    dataset = sample_moments(
+        int(params["n_records"]),
+        model.root,
+        designed.noise_model.root,
+        designed.scheme.noise_model(model.dim),
+        rng,
+    )
     attacks = {
         "SF": SpectralFilteringReconstructor(),
         "PCA-DR": PCAReconstructor(),
         "BE-DR": BayesEstimateReconstructor(),
     }
-    pipeline = AttackPipeline(designed.scheme, attacks)
-    report = pipeline.run(dataset, rng=rng)
     return {
-        "rmse": {name: report.rmse(name) for name in attacks},
+        "rmse": _rmse(dataset, attacks),
         "dissimilarity": float(designed.dissimilarity),
     }
 

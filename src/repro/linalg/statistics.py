@@ -15,6 +15,12 @@ eigenvectors of ``Cov(Y)`` and its eigenvalues shifted by ``-sigma^2``,
 so it is derived from :attr:`DisguisedStatistics.covariance_eigen`
 rather than decomposed again.
 
+The affine attacks read nothing but ``n``, the column means and
+``Cov(Y)`` (and what is derived from them), so
+:meth:`DisguisedStatistics.from_moments` builds a table-less view from
+those sufficient statistics alone; :attr:`DisguisedStatistics.table`
+then raises for anything that needs the ``(n, m)`` table itself.
+
 Only ``O(m^2)`` values are cached, never a centred ``(n, m)`` copy.  The
 cached arrays are read-only: they are shared by every attack, and a
 caller mutating one would silently corrupt the others.  A statistic
@@ -31,10 +37,11 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.exceptions import NotPositiveDefiniteError
+from repro.exceptions import NotPositiveDefiniteError, ValidationError
 from repro.linalg.covariance import covariance_from_disguised, sample_covariance
 from repro.linalg.eigen import EigenDecomposition, sorted_eigh
 from repro.linalg.psd import nearest_psd
+from repro.utils.validation import check_matrix, check_vector
 
 if TYPE_CHECKING:
     from repro.randomization.base import NoiseModel
@@ -55,9 +62,67 @@ class DisguisedStatistics:
     """
 
     def __init__(self, disguised: np.ndarray, noise_model: NoiseModel):
-        self._disguised = disguised
+        self._disguised: np.ndarray | None = disguised
         self._noise_model = noise_model
         self._cache: dict[Any, Any] = {}
+        self._shape = (int(disguised.shape[0]), int(disguised.shape[1]))
+
+    @classmethod
+    def from_moments(
+        cls,
+        n_records: int,
+        column_means: np.ndarray,
+        covariance: np.ndarray,
+        noise_model: NoiseModel,
+    ) -> "DisguisedStatistics":
+        """Table-less view from ``n``, the column means and ``Cov(Y)``.
+
+        ``covariance`` is the ``ddof=1`` sample covariance.  Every
+        statistic derives from these as it does in the table form;
+        :attr:`table` raises.
+        """
+        m = noise_model.dim
+        means = check_vector(column_means, "column_means").copy()
+        cov = check_matrix(covariance, "covariance").copy()
+        if means.size != m or cov.shape != (m, m):
+            raise ValidationError(
+                f"moments have shapes {means.shape} and {cov.shape}; the "
+                f"noise model covers {m} attributes"
+            )
+        if int(n_records) < 2:
+            raise ValidationError(f"need at least 2 records, got {n_records}")
+        statistics = cls.__new__(cls)
+        statistics._disguised = None
+        statistics._noise_model = noise_model
+        statistics._cache = {"mean": _read_only(means), "covariance": _read_only(cov)}
+        statistics._shape = (int(n_records), m)
+        return statistics
+
+    @property
+    def n_records(self) -> int:
+        """Number of published records ``n``."""
+        return self._shape[0]
+
+    @property
+    def n_attributes(self) -> int:
+        """Number of attributes ``m``."""
+        return self._shape[1]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The published ``(n, m)`` matrix ``Y``.
+
+        Raises :class:`~repro.exceptions.ValidationError` for a view built
+        by :meth:`from_moments`, which holds no table.
+        """
+        if self._disguised is None:
+            raise ValidationError(
+                "the published (n, m) table is not held: this view was "
+                "built from sufficient statistics, which only serve "
+                "attacks affine in Y (UDR with a Gaussian prior, SF, "
+                "PCA-DR, BE-DR) scored in closed form"
+            )
+        return self._disguised
 
     def _cached(self, key: Any, compute: Callable[[], Any]) -> Any:
         try:
@@ -114,7 +179,7 @@ class DisguisedStatistics:
                 ),
             )
         return covariance_from_disguised(
-            self._disguised,
+            None if estimator == "sample" else self.table,
             model.covariance,
             estimator=estimator,
             covariance_y=self.covariance if estimator == "sample" else None,
@@ -142,15 +207,23 @@ class ReferenceGram:
     With ``Xc = X - mean``: ``mean`` (``m``), ``sq_norms = diag(Xc^T Xc)``
     (``m``) and ``cross = Xc^T Y`` (``m x m``), which is ``Xc^T Yc`` for
     any centring ``Yc`` of ``Y``, as the columns of ``Xc`` sum to zero.
-    Together with :attr:`DisguisedStatistics.covariance` they score any reconstruction affine in ``Y`` without building it
+    Together with :attr:`DisguisedStatistics.covariance` they score any
+    reconstruction affine in ``Y`` without building it
     (:mod:`repro.metrics.error`).  They are derived from ``X``, so they
     live on the dataset's private side, never in
     :class:`DisguisedStatistics`, which attacks read.
+
+    :meth:`of` computes them from the two tables; the constructor takes
+    them as sufficient statistics directly.  The arrays are made
+    read-only either way.
     """
 
     mean: np.ndarray
     sq_norms: np.ndarray
     cross: np.ndarray
+
+    def __post_init__(self):
+        _read_only((self.mean, self.sq_norms, self.cross))
 
     @classmethod
     def of(cls, original: np.ndarray, disguised: np.ndarray) -> "ReferenceGram":
@@ -158,8 +231,7 @@ class ReferenceGram:
         mean = original.mean(axis=0)
         centred = original - mean
         sq_norms = np.einsum("ij,ij->j", centred, centred)
-        cross = centred.T @ disguised
-        return cls(*_read_only((mean, sq_norms, cross)))
+        return cls(mean, sq_norms, centred.T @ disguised)
 
 
 def _cholesky(matrix: np.ndarray) -> np.ndarray:

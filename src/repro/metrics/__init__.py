@@ -3,7 +3,8 @@
 The paper quantifies privacy as the distance between the reconstruction
 ``X_hat`` and the original ``X`` (Section 3): root mean square error is
 what every figure plots.  Definition 8.1's correlation dissimilarity
-drives the improved-scheme experiment.
+drives the improved-scheme experiment.  :mod:`repro.metrics.oracle`
+evaluates the errors the paper's theorems predict for each attack.
 """
 
 from repro.metrics.dissimilarity import correlation_dissimilarity

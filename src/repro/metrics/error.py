@@ -36,6 +36,12 @@ falls below ``1e-8 (Xc^T Xc)_jj`` (negative included), the result is
 scored from the materialised residual instead and the
 ``metrics.score.fallbacks`` counter is incremented.  Raw-matrix callers
 and results without an affine map always take the materialised path.
+
+A table-less dataset (built by
+:meth:`~repro.randomization.base.DisguisedDataset.from_moments`) has no
+residual to fall back to: a result that is not affine over its
+statistics, or one the guard rejects, raises
+:class:`~repro.exceptions.ValidationError` instead.
 """
 
 from __future__ import annotations
@@ -93,13 +99,13 @@ def _affine_sse(reference, estimate) -> np.ndarray | None:
     """Closed-form per-attribute SSE, or ``None`` for the materialised path.
 
     ``None`` unless ``reference`` is a dataset and ``estimate`` an affine
-    result over its ``Y``, or when the cancellation guard fires.
+    result over its statistics, or when the cancellation guard fires.
     """
     if not (
         isinstance(reference, DisguisedDataset)
         and isinstance(estimate, ReconstructionResult)
         and estimate.affine is not None
-        and estimate.affine.disguised is reference.disguised
+        and estimate.affine.statistics is reference.statistics
     ):
         return None
     statistics = reference.statistics
@@ -121,11 +127,19 @@ def _affine_sse(reference, estimate) -> np.ndarray | None:
 
 
 def _scores(original, estimate) -> tuple[np.ndarray | None, Any]:
-    """``(closed-form SSE or None, the table to score against)``."""
+    """``(closed-form SSE, n)``, or ``(None, the table to score against)``."""
     sse = _affine_sse(original, estimate)
-    if isinstance(original, DisguisedDataset):
-        original = original.original
-    return sse, original
+    if not isinstance(original, DisguisedDataset):
+        return None, original
+    if sse is not None:
+        return sse, original.n_records
+    if not original.has_tables:
+        raise ValidationError(
+            "a dataset built from moments holds no original table: only "
+            "a result affine over its statistics can be scored, and only "
+            "while the closed form's cancellation guard passes"
+        )
+    return None, original.original
 
 
 def mean_square_error(original, estimate) -> float:
@@ -144,12 +158,12 @@ def mean_square_error(original, estimate) -> float:
         The reconstruction — a matrix or a
         :class:`~repro.reconstruction.base.ReconstructionResult`.
     """
-    sse, original = _scores(original, estimate)
+    sse, reference = _scores(original, estimate)
     if sse is not None:
-        return float(np.sum(sse) / (original.shape[0] * sse.size))
-    value = float(np.mean(_squared_residuals(original, estimate)))
+        return float(np.sum(sse) / (reference * sse.size))
+    value = float(np.mean(_squared_residuals(reference, estimate)))
     if not math.isfinite(value):
-        _paired(original, estimate)
+        _paired(reference, estimate)
     return value
 
 
@@ -164,10 +178,10 @@ def per_attribute_rmse(original, estimate) -> np.ndarray:
     Reveals *which* attributes a scheme exposes most — e.g. attributes
     aligned with principal directions reconstruct better under PCA-DR.
     """
-    sse, original = _scores(original, estimate)
+    sse, reference = _scores(original, estimate)
     if sse is not None:
-        return np.sqrt(sse / original.shape[0])
-    rmse = np.sqrt(np.mean(_squared_residuals(original, estimate), axis=0))
+        return np.sqrt(sse / reference)
+    rmse = np.sqrt(np.mean(_squared_residuals(reference, estimate), axis=0))
     if not np.isfinite(rmse).all():
-        _paired(original, estimate)
+        _paired(reference, estimate)
     return rmse

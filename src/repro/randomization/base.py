@@ -123,12 +123,16 @@ class DisguisedDataset:
     quantities of ``original`` in :attr:`reference_gram`; both are
     filled on first use and are not part of equality or of the pickled
     state.
+
+    :meth:`from_moments` builds the table-less form: the three tables
+    are ``None`` and the dataset is its statistics and Gram quantities,
+    which then are its state.
     """
 
-    disguised: np.ndarray
+    disguised: np.ndarray | None
     noise_model: NoiseModel
-    original: np.ndarray
-    noise: np.ndarray
+    original: np.ndarray | None
+    noise: np.ndarray | None
 
     def __post_init__(self):
         disguised = check_matrix(self.disguised, "disguised")
@@ -148,20 +152,84 @@ class DisguisedDataset:
         object.__setattr__(self, "original", original)
         object.__setattr__(self, "noise", noise)
 
+    @classmethod
+    def from_moments(
+        cls,
+        n_records: int,
+        mean: np.ndarray,
+        scatter: np.ndarray,
+        noise_model: NoiseModel,
+    ) -> "DisguisedDataset":
+        """Table-less dataset from the joint sample moments of ``(X, R)``.
+
+        ``mean`` is ``(x_bar, r_bar)``, shape ``(2m,)``, and ``scatter``
+        is ``[Xc Rc]^T [Xc Rc]``, shape ``(2m, 2m)``.  With ``Yc = Xc +
+        Rc`` they give ``y_bar = x_bar + r_bar``, ``Cov(Y) = Yc^T Yc /
+        (n - 1)`` and the Gram quantities ``diag(Xc^T Xc)`` and ``Xc^T
+        Yc``: all that the affine attacks and their closed-form scores
+        read.  Reading a table raises
+        :class:`~repro.exceptions.ValidationError`.
+        """
+        m = noise_model.dim
+        mean = np.asarray(mean, dtype=np.float64)
+        scatter = np.asarray(scatter, dtype=np.float64)
+        if mean.shape != (2 * m,) or scatter.shape != (2 * m, 2 * m):
+            raise ValidationError(
+                f"joint moments have shapes {mean.shape} and {scatter.shape};"
+                f" expected ({2 * m},) and ({2 * m}, {2 * m})"
+            )
+        scatter_xx, scatter_xr = scatter[:m, :m], scatter[:m, m:]
+        cross = scatter_xx + scatter_xr
+        scatter_yy = cross + scatter_xr.T + scatter[m:, m:]
+        covariance = (scatter_yy + scatter_yy.T) / (2.0 * (n_records - 1))
+        dataset = cls.__new__(cls)
+        for name in ("disguised", "original", "noise"):
+            object.__setattr__(dataset, name, None)
+        object.__setattr__(dataset, "noise_model", noise_model)
+        object.__setattr__(
+            dataset,
+            "_statistics",
+            DisguisedStatistics.from_moments(
+                n_records, mean[:m] + mean[m:], covariance, noise_model
+            ),
+        )
+        object.__setattr__(
+            dataset,
+            "_reference_gram",
+            ReferenceGram(mean[:m].copy(), np.diag(scatter_xx).copy(), cross),
+        )
+        return dataset
+
+    @property
+    def has_tables(self) -> bool:
+        """False for the table-less form built by :meth:`from_moments`."""
+        return self.disguised is not None
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, DisguisedDataset):
             return NotImplemented
+        return self.noise_model == other.noise_model and values_equal(
+            self._state(), other._state()
+        )
+
+    def _state(self) -> tuple:
+        if self.has_tables:
+            return (self.disguised, self.original, self.noise)
+        statistics, gram = self.statistics, self.reference_gram
         return (
-            self.noise_model == other.noise_model
-            and values_equal(self.disguised, other.disguised)
-            and values_equal(self.original, other.original)
-            and values_equal(self.noise, other.noise)
+            statistics.n_records,
+            statistics.column_means,
+            statistics.covariance,
+            gram.mean,
+            gram.sq_norms,
+            gram.cross,
         )
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_statistics", None)
-        state.pop("_reference_gram", None)
+        if self.has_tables:
+            state.pop("_statistics", None)
+            state.pop("_reference_gram", None)
         return state
 
     @property
@@ -189,12 +257,12 @@ class DisguisedDataset:
     @property
     def n_records(self) -> int:
         """Number of rows ``n``."""
-        return int(self.disguised.shape[0])
+        return self.statistics.n_records
 
     @property
     def n_attributes(self) -> int:
         """Number of columns ``m``."""
-        return int(self.disguised.shape[1])
+        return self.statistics.n_attributes
 
     def __repr__(self) -> str:
         return (

@@ -30,21 +30,22 @@ class AffineMap:
 
     ``X_hat = (Y - center) W + offset``, where ``W`` is ``(m, m)`` or a
     diagonal given as its ``(m,)`` entries and a missing ``center`` is
-    zero.  A ``(k, m)`` ``center`` is subtracted row by row.
+    zero.  A ``(k, m)`` ``center`` is subtracted row by row.  ``Y`` is
+    identified by the attack's
+    :class:`~repro.linalg.statistics.DisguisedStatistics`, which the
+    closed-form scorer matches against the dataset's.
     :meth:`apply` evaluates the attack's own expression in the attack's
     own order, so a lazily built estimate has the bits an eager one had.
-    The ``m``-sized arrays are checked for NaN and infinity here;
-    ``disguised`` is the attack's already validated input and is not
-    rescanned.
+    The ``m``-sized arrays are checked for NaN and infinity here.
     """
 
-    disguised: np.ndarray
+    statistics: DisguisedStatistics
     weights: np.ndarray
     offset: np.ndarray
     center: np.ndarray | None = None
 
     def __post_init__(self):
-        m = self.disguised.shape[1]
+        m = self.statistics.n_attributes
         allowed = {
             "weights": [(m,), (m, m)],
             "offset": [(m,)],
@@ -62,8 +63,13 @@ class AffineMap:
             check_finite(value, name)
 
     def apply(self) -> np.ndarray:
-        """The ``(n, m)`` estimate."""
-        estimate = self.disguised
+        """The ``(n, m)`` estimate.
+
+        Raises :class:`~repro.exceptions.ValidationError` when the
+        statistics hold no table (see
+        :meth:`~repro.linalg.statistics.DisguisedStatistics.from_moments`).
+        """
+        estimate = self.statistics.table
         if self.center is not None:
             rows = np.atleast_2d(self.center)
             estimate = estimate - rows[0]
@@ -163,16 +169,16 @@ class ReconstructionResult:
     @property
     def n_records(self) -> int:
         """Number of reconstructed rows."""
-        return int(self._table.shape[0])
+        if self.affine is not None:
+            return self.affine.statistics.n_records
+        return int(self._estimate.shape[0])
 
     @property
     def n_attributes(self) -> int:
         """Number of reconstructed columns."""
-        return int(self._table.shape[1])
-
-    @property
-    def _table(self) -> np.ndarray:
-        return self._estimate if self.affine is None else self.affine.disguised
+        if self.affine is not None:
+            return self.affine.statistics.n_attributes
+        return int(self._estimate.shape[1])
 
     def __repr__(self) -> str:
         return (
@@ -188,10 +194,12 @@ class Reconstructor(abc.ABC):
     public :meth:`reconstruct` method accepts either a
     :class:`DisguisedDataset` (convenient in experiments) or an explicit
     ``(disguised, noise_model)`` pair (what a real adversary holds).
-    Either way the attack also gets the view's
+    Either way the attack gets the view as its
     :class:`~repro.linalg.statistics.DisguisedStatistics`: the dataset's
     own, shared by every attack run on it, or a fresh one for a raw
-    matrix.
+    matrix.  An attack that needs the table reads
+    :attr:`~repro.linalg.statistics.DisguisedStatistics.table`, which
+    raises on a table-less dataset.
     """
 
     #: Short display name, overridden by subclasses.
@@ -231,7 +239,6 @@ class Reconstructor(abc.ABC):
                     "pass either a DisguisedDataset or (matrix, noise_model),"
                     " not both"
                 )
-            matrix = disguised.disguised
             model = disguised.noise_model
             statistics = disguised.statistics
         else:
@@ -247,20 +254,20 @@ class Reconstructor(abc.ABC):
                     f"model covers {model.dim}"
                 )
             statistics = DisguisedStatistics(matrix, model)
-        return self._reconstruct(matrix, model, statistics)
+        return self._reconstruct(model, statistics)
 
     @abc.abstractmethod
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         """Attack implementation on the validated public view.
 
-        ``statistics`` holds the shared derived quantities of
-        ``(disguised, noise_model)``; attacks that need ``Cov(Y)`` or the
-        Theorem 5.1 estimate read them from it.
+        ``statistics`` is the published table ``Y`` (its
+        :attr:`~repro.linalg.statistics.DisguisedStatistics.table`) with
+        the shared derived quantities of ``(Y, noise_model)``: ``n``,
+        ``m``, ``Cov(Y)``, the Theorem 5.1 estimate.
         """
 
     def __repr__(self) -> str:

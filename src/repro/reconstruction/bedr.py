@@ -133,11 +133,10 @@ class BayesEstimateReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
-        m = disguised.shape[1]
+        m = statistics.n_attributes
 
         if self._oracle_covariance is not None:
             if self._oracle_covariance.shape[0] != m:
@@ -167,7 +166,7 @@ class BayesEstimateReconstructor(Reconstructor):
         # K = (Sigma_x + Sigma_r)^-1 Sigma_x; x_hat = mu_x + (y - mu_x -
         # mu_r) K, vectorized over all n records at once when it is built.
         gain = np.linalg.solve(sigma_x + noise_model.covariance, sigma_x)
-        affine = AffineMap(disguised, gain, mu_x, center=mu_x + noise_model.mean)
+        affine = AffineMap(statistics, gain, mu_x, center=mu_x + noise_model.mean)
 
         # The Gaussian posterior covariance A^-1 = Sigma_x - Sigma_x K is
         # also the estimator's error covariance, so the model-implied

@@ -77,10 +77,10 @@ class KalmanSmootherReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
+        disguised = statistics.table
         n, m = disguised.shape
         if n < 4:
             raise ValidationError(

@@ -41,11 +41,10 @@ class NoiseDistributionReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
-        estimate = disguised - noise_model.mean
+        estimate = statistics.table - noise_model.mean
         expected_mse = float(np.mean(np.diag(noise_model.covariance)))
         return ReconstructionResult(
             estimate=estimate,

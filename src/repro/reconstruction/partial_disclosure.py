@@ -112,10 +112,10 @@ class ConditionalDisclosureReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
+        disguised = statistics.table
         n, m = disguised.shape
         known = self._known_indices
         if known.min() < 0 or known.max() >= m:

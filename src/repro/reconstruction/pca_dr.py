@@ -136,11 +136,10 @@ class PCAReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
-        m = disguised.shape[1]
+        m = statistics.n_attributes
         if self._oracle_covariance is not None:
             if self._oracle_covariance.shape[0] != m:
                 raise ValidationError(
@@ -156,7 +155,7 @@ class PCAReconstructor(Reconstructor):
         column_means = statistics.column_means
         return ReconstructionResult(
             affine=AffineMap(
-                disguised, projector, column_means, center=column_means
+                statistics, projector, column_means, center=column_means
             ),
             method=self.name,
             details={

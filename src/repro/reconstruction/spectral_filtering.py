@@ -109,11 +109,10 @@ class SpectralFilteringReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
-        n, m = disguised.shape
+        n, m = statistics.n_records, statistics.n_attributes
         if n < 2:
             raise ValidationError("SF needs at least 2 records")
         # SF was derived for i.i.d. noise; when the publisher uses
@@ -135,7 +134,7 @@ class SpectralFilteringReconstructor(Reconstructor):
         column_means = statistics.column_means
         return ReconstructionResult(
             affine=AffineMap(
-                disguised, projector, column_means, center=column_means
+                statistics, projector, column_means, center=column_means
             ),
             method=self.name,
             details={

@@ -151,11 +151,10 @@ class UnivariateReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
-        n, m = disguised.shape
+        m = statistics.n_attributes
         if self._prior_mode == "explicit" and len(self._prior_densities) != m:
             raise ValidationError(
                 f"got {len(self._prior_densities)} explicit priors for "
@@ -164,12 +163,12 @@ class UnivariateReconstructor(Reconstructor):
         details: dict = {"prior_mode": self._prior_mode}
         if self._prior_mode == "gaussian":
             return ReconstructionResult(
-                affine=self._gaussian_shrinkage(
-                    disguised, noise_model, statistics
-                ),
+                affine=self._gaussian_shrinkage(noise_model, statistics),
                 method=self.name,
                 details=details,
             )
+        # Reads the table; raises on a table-less (moments-only) view.
+        disguised = statistics.table
         estimate = np.empty_like(disguised)
         for j in range(m):
             column = disguised[:, j]
@@ -190,9 +189,7 @@ class UnivariateReconstructor(Reconstructor):
 
     @staticmethod
     def _gaussian_shrinkage(
-        disguised: np.ndarray,
-        noise_model: NoiseModel,
-        statistics: DisguisedStatistics,
+        noise_model: NoiseModel, statistics: DisguisedStatistics
     ) -> AffineMap:
         """Moment-matched Gaussian-prior posterior mean, all columns at once.
 
@@ -206,7 +203,7 @@ class UnivariateReconstructor(Reconstructor):
         diagonal of its ``Cov(Y)``, rescaled to the ``1/n`` variance, so
         ``Y`` is not read again.
         """
-        n = disguised.shape[0]
+        n = statistics.n_records
         # The marginal noise moments are the model's own, whatever its
         # family (see noise_marginal_density).
         noise_mean = noise_model.mean
@@ -224,7 +221,7 @@ class UnivariateReconstructor(Reconstructor):
         # posterior mean collapses to the prior mean.
         shrinkage = prior_var / (prior_var + noise_var)
         return AffineMap(
-            disguised,
+            statistics,
             shrinkage,
             prior_mean,
             center=np.stack([noise_mean, prior_mean]),

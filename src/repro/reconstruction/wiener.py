@@ -88,10 +88,10 @@ class WienerSmootherReconstructor(Reconstructor):
 
     def _reconstruct(
         self,
-        disguised: np.ndarray,
         noise_model: NoiseModel,
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
+        disguised = statistics.table
         n, m = disguised.shape
         if n <= self._window:
             raise ValidationError(

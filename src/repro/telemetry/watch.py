@@ -4,8 +4,9 @@
 to (:func:`~repro.telemetry.stream.fold_trace`) and renders it —
 progress bar, job rate and ETA, worker RSS, and a per-kernel
 convergence table fed by the ``kernel.*`` heartbeat gauges — then
-redraws on an interval.  Progress, rate, and the rate and objective
-trends come from the stream's ``metrics`` lines; the staleness label
+redraws on an interval.  Progress, rate, and the rate and kernel trends
+(objective, else delta, else condition) come from the stream's
+``metrics`` lines; the staleness label
 from the time of its last line; "run complete" from its ``end`` line.
 Everything is derived from the on-disk file, so the dashboard attaches
 to any running sweep (same host or a copied file) without touching the
@@ -39,6 +40,10 @@ STALE_AFTER = 10.0
 
 #: Progress bar width in characters.
 _BAR_WIDTH = 30
+
+#: Kernel gauges the value column and trend show, first present wins
+#: (the order of :func:`repro.telemetry.viewer._payload_spark`).
+_TREND_FIELDS = ("objective", "delta", "condition")
 
 
 def _progress_lines(metrics: list[dict[str, Any]]) -> list[str]:
@@ -109,17 +114,15 @@ def _kernel_lines(metrics: list[dict[str, Any]]) -> list[str]:
     lines = ["", "kernels:"]
     lines.append(
         f"  {'kernel':<20} {'fits':>6} {'iter':>6} {'rej':>6} "
-        f"{'objective':>12} {'state':>10}  trend"
+        f"{'value':>12} {'state':>10}  trend"
     )
     for kernel in sorted(rows):
         row = rows[kernel]
         fits = row.get("fits", 0.0)
         iterations = row.get("iterations", 0.0)
         rejections = row.get("rejections", 0.0)
-        objective = row.get("objective")
-        objective_text = (
-            f"{objective:.6g}" if objective is not None else "-"
-        )
+        field = next((f for f in _TREND_FIELDS if f in row), None)
+        value_text = f"{row[field]:.6g}" if field is not None else "-"
         if row.get("nonfinite", 0.0) > 0:
             state = "NONFINITE"
         elif row.get("nonconverged", 0.0) > 0:
@@ -128,7 +131,7 @@ def _kernel_lines(metrics: list[dict[str, Any]]) -> list[str]:
             state = "fitting"
         else:
             state = "ok"
-        name = f"kernel.{kernel}.objective"
+        name = f"kernel.{kernel}.{field}"
         trend = sparkline(
             [
                 float(line["gauges"][name])
@@ -139,7 +142,7 @@ def _kernel_lines(metrics: list[dict[str, Any]]) -> list[str]:
         )
         lines.append(
             f"  {kernel:<20} {fits:>6.0f} {iterations:>6.0f} "
-            f"{rejections:>6.0f} {objective_text:>12} {state:>10}  {trend}"
+            f"{rejections:>6.0f} {value_text:>12} {state:>10}  {trend}"
         )
     return lines
 

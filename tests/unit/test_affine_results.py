@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.pipeline import AttackOutcome, PipelineReport, evaluate_attacks
 from repro.exceptions import ValidationError
+from repro.linalg.statistics import DisguisedStatistics
 from repro.metrics.error import (
     mean_square_error,
     per_attribute_rmse,
@@ -58,9 +59,15 @@ def dataset(request):
     return DATASETS[request.param]()
 
 
+def _view(table):
+    """The public view of a raw table under unit i.i.d. noise."""
+    m = table.shape[1]
+    return DisguisedStatistics(table, NoiseModel(np.eye(m), np.zeros(m)))
+
+
 class TestAffineMap:
     def _table(self, n=6, m=3):
-        return np.arange(n * m, dtype=np.float64).reshape(n, m)
+        return _view(np.arange(n * m, dtype=np.float64).reshape(n, m))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -93,16 +100,17 @@ class TestAffineMap:
         rng = np.random.default_rng(0)
         table = rng.normal(size=(40, 3)) * 5.0 + 7.0
         mean = table.mean(axis=0)
+        view = _view(table)
         maps = [
-            AffineMap(table, rng.normal(size=3), rng.normal(size=3)),
+            AffineMap(view, rng.normal(size=3), rng.normal(size=3)),
             AffineMap(
-                table,
+                view,
                 rng.normal(size=(3, 3)),
                 rng.normal(size=3),
                 center=rng.normal(size=(2, 3)),
             ),
             AffineMap(
-                table, rng.normal(size=3), rng.normal(size=3),
+                view, rng.normal(size=3), rng.normal(size=3),
                 center=rng.normal(size=3),
             ),
         ]
@@ -118,7 +126,7 @@ class TestAffineMap:
 class TestReconstructionResult:
     def test_exactly_one_of_estimate_and_affine(self):
         table = np.ones((4, 2))
-        affine = AffineMap(table, np.ones(2), np.zeros(2))
+        affine = AffineMap(_view(table), np.ones(2), np.zeros(2))
         with pytest.raises(ValidationError, match="exactly one"):
             ReconstructionResult(method="X")
         with pytest.raises(ValidationError, match="exactly one"):
@@ -253,7 +261,7 @@ def _near_identity_dataset(n=500, m=4, seed=21):
     offset = original.mean(axis=0)
     result = ReconstructionResult(
         method="near-identity",
-        affine=AffineMap(disguised, weights, offset, center=y_mean),
+        affine=AffineMap(dataset.statistics, weights, offset, center=y_mean),
     )
     return dataset, result
 

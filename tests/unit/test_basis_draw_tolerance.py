@@ -6,6 +6,10 @@ diagonal made positive.  Both consume the same single Gaussian draw and
 return the same matrix up to rounding, so every later random draw is
 unchanged and the figure RMSEs move only in their last digits.
 
+The values were recorded on tables, so the trials run on the table path
+(``tests/table_path.py``); the figure tasks themselves now draw moments
+and match it in distribution (``tests/integration/test_moment_path.py``).
+
 The expected values below were recorded with the Gram-Schmidt kernel.
 They are asserted at ``rtol=1e-6``; the largest change measured across
 the figure curves was 5.6e-9 relative.  Bit-identity is deliberately not
@@ -18,7 +22,11 @@ import numpy as np
 import pytest
 
 from repro.data.spectra import two_level_spectrum
-from repro.experiments.tasks import correlated_noise_trial, two_level_trial
+
+from tests.table_path import (
+    correlated_noise_table_trial,
+    two_level_table_trial,
+)
 
 RTOL = 1e-6
 
@@ -30,7 +38,7 @@ def _spectrum(n_principal):
 
 
 def test_two_level_trial_matches_gram_schmidt_basis():
-    result = two_level_trial(
+    result = two_level_table_trial(
         {"spectrum": _spectrum(10), "n_records": 2000, "noise_std": 5.0},
         np.random.default_rng(2005),
     )
@@ -44,7 +52,7 @@ def test_two_level_trial_matches_gram_schmidt_basis():
 
 
 def test_correlated_noise_trial_matches_gram_schmidt_basis():
-    result = correlated_noise_trial(
+    result = correlated_noise_table_trial(
         {
             "spectrum": _spectrum(50),
             "n_records": 2000,

@@ -34,6 +34,8 @@ from repro.reconstruction import (
 )
 from repro.reconstruction.selection import LargestGapSelector
 
+from tests.table_path import correlated_noise_table_trial, two_level_table_trial
+
 
 # ----------------------------------------------------------------------
 # References built directly from the linear-algebra primitives
@@ -394,9 +396,14 @@ class TestCacheInvisible:
 
 
 class TestCallCounts:
-    """One figure job does the shared linear algebra once."""
+    """One figure job does the shared linear algebra once.
 
-    def _count(self, monkeypatch, params, task=two_level_trial):
+    Each count is pinned on the table path (``tests/table_path.py``,
+    the literal Section 7.1 procedure) and on the figure tasks, which
+    draw the job's moments instead of two tables.
+    """
+
+    def _count(self, monkeypatch, params, task=two_level_table_trial):
         import sys
 
         import repro.reconstruction.udr as udr_module
@@ -429,19 +436,34 @@ class TestCallCounts:
         task(params, np.random.default_rng(2005))
         return counts
 
-    @pytest.mark.parametrize(
-        "non_principal, noise_std",
-        [(50.0, 1.0), (0.5, 5.0)],
-        ids=["no-repair", "repair"],
-    )
-    def test_two_level_trial(self, monkeypatch, non_principal, noise_std):
-        params = {
+    @staticmethod
+    def _two_level_params(non_principal, noise_std):
+        return {
             "spectrum": two_level_spectrum(
                 20, 4, total_variance=2000.0, non_principal_value=non_principal
             ),
             "n_records": 500,
             "noise_std": noise_std,
         }
+
+    @staticmethod
+    def _correlated_params():
+        return {
+            "spectrum": two_level_spectrum(
+                20, 4, total_variance=2000.0, non_principal_value=4.0
+            ),
+            "n_records": 500,
+            "noise_power": 500.0,
+            "profile": 0.5,
+        }
+
+    @pytest.mark.parametrize(
+        "non_principal, noise_std",
+        [(50.0, 1.0), (0.5, 5.0)],
+        ids=["no-repair", "repair"],
+    )
+    def test_two_level_trial(self, monkeypatch, non_principal, noise_std):
+        params = self._two_level_params(non_principal, noise_std)
         counts = self._count(monkeypatch, params)
         assert counts == {
             "sample_covariance": 1,
@@ -455,27 +477,77 @@ class TestCallCounts:
         The repaired estimate keeps its input's eigenvectors and BE-DR
         inverts nothing, so no further ``eigh`` runs (there were five).
         """
-        params = {
-            "spectrum": two_level_spectrum(
-                20, 4, total_variance=2000.0, non_principal_value=4.0
-            ),
-            "n_records": 500,
-            "noise_power": 500.0,
-            "profile": 0.5,
-        }
-        counts = self._count(monkeypatch, params, task=correlated_noise_trial)
+        counts = self._count(
+            monkeypatch,
+            self._correlated_params(),
+            task=correlated_noise_table_trial,
+        )
         assert counts == {
             "sample_covariance": 1,
             "eigh": 2,
             "noise_marginal_density": 0,
         }
 
+    @pytest.mark.parametrize(
+        "non_principal, noise_std",
+        [(50.0, 1.0), (0.5, 5.0)],
+        ids=["no-repair", "repair"],
+    )
+    def test_two_level_moments(self, monkeypatch, non_principal, noise_std):
+        """``Cov(Y)`` comes with the moments: no ``sample_covariance``."""
+        params = self._two_level_params(non_principal, noise_std)
+        counts = self._count(monkeypatch, params, task=two_level_trial)
+        assert counts == {
+            "sample_covariance": 0,
+            "eigh": 1,
+            "noise_marginal_density": 0,
+        }
+
+    def test_correlated_noise_moments(self, monkeypatch):
+        counts = self._count(
+            monkeypatch, self._correlated_params(), task=correlated_noise_trial
+        )
+        assert counts == {
+            "sample_covariance": 0,
+            "eigh": 2,
+            "noise_marginal_density": 0,
+        }
+
+    @pytest.mark.parametrize("figure", ["two-level", "correlated"])
+    def test_moments_draw_no_table(self, figure):
+        """The figure tasks never draw ``n * m`` random values at once,
+        nor that many in total (here ``n = 2000``, ``m = 20``)."""
+        draws = []
+
+        class Recording(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                draws.append(int(np.prod(size or 1)))
+                return super().standard_normal(size, *args, **kwargs)
+
+            def normal(self, loc=0.0, scale=1.0, size=None):
+                draws.append(int(np.prod(size or 1)))
+                return super().normal(loc, scale, size)
+
+            def chisquare(self, df, size=None):
+                draws.append(int(np.size(df) if size is None else np.prod(size)))
+                return super().chisquare(df, size)
+
+        n, m = 2000, 20
+        if figure == "two-level":
+            task, params = two_level_trial, self._two_level_params(4.0, 5.0)
+        else:
+            task, params = correlated_noise_trial, self._correlated_params()
+        params["n_records"] = n
+        task(params, Recording(np.random.PCG64(2005)))
+        assert draws and max(draws) < n * m and sum(draws) < n * m
+
     def test_full_table_finiteness_scans(self, monkeypatch):
         """Scoring does not rescan the tables the dataset already checked.
 
         The remaining scans: the original in ``disguise`` and the three
         tables of the ``DisguisedDataset``.  The four attacks are affine,
-        so no estimate is built or scanned.
+        so no estimate is built or scanned.  The figure task itself has
+        no table to scan.
         """
         import repro.utils.validation as validation
 
@@ -497,16 +569,13 @@ class TestCallCounts:
             "n_records": n,
             "noise_std": 5.0,
         }
-        two_level_trial(params, np.random.default_rng(2005))
+        two_level_table_trial(params, np.random.default_rng(2005))
         assert scans <= 4
+        scans = 0
+        two_level_trial(params, np.random.default_rng(2005))
+        assert scans == 0
 
-    def test_figure2_job_materialises_no_estimate(self, monkeypatch):
-        """The four figure attacks are scored from one cross-Gram.
-
-        No ``(n, m)`` estimate is built and ``Xc^T Yc`` is computed once
-        for the job's dataset.  (That the pool stays bit-identical is
-        ``tests/integration/test_worker_parity.py``.)
-        """
+    def _count_gram_work(self, monkeypatch, task):
         from repro.linalg.statistics import ReferenceGram
         from repro.reconstruction.base import AffineMap
 
@@ -530,6 +599,21 @@ class TestCallCounts:
             "n_records": 2000,
             "noise_std": 5.0,
         }
-        payload = two_level_trial(params, np.random.default_rng(2005))
+        payload = task(params, np.random.default_rng(2005))
         assert sorted(payload["rmse"]) == ["BE-DR", "PCA-DR", "SF", "UDR"]
+        return counts
+
+    def test_figure2_job_materialises_no_estimate(self, monkeypatch):
+        """The four figure attacks are scored from one cross-Gram.
+
+        No ``(n, m)`` estimate is built and ``Xc^T Yc`` is computed once
+        for the job's dataset.  (That the pool stays bit-identical is
+        ``tests/integration/test_worker_parity.py``.)
+        """
+        counts = self._count_gram_work(monkeypatch, two_level_table_trial)
         assert counts == {"apply": 0, "gram": 1}
+
+    def test_moments_materialise_no_estimate_and_no_gram(self, monkeypatch):
+        """The moment path derives ``Xc^T Yc`` from the scatter."""
+        counts = self._count_gram_work(monkeypatch, two_level_trial)
+        assert counts == {"apply": 0, "gram": 0}

@@ -266,3 +266,31 @@ class TestWatchLoop:
     def test_invalid_interval_raises(self, tmp_path):
         with pytest.raises(ValidationError, match="interval"):
             watch_loop(tmp_path / "t.jsonl", io.StringIO(), interval=0)
+
+
+def test_traced_kalman_run_has_a_kernel_trend(tmp_path):
+    """Kalman records delta and condition but no objective: the value
+    column and trend fall back to delta.  Two fits, a ``metrics`` line
+    after each, draw a two-point trend."""
+    import numpy as np
+
+    from repro.randomization.additive import AdditiveNoiseScheme
+    from repro.reconstruction.kalman import KalmanSmootherReconstructor
+    from repro.telemetry import traced_run
+
+    def series(seed):
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.normal(size=(60, 2)), axis=0) * 0.1
+        return AdditiveNoiseScheme(std=1.0).disguise(walk, rng=seed + 1)
+
+    path = tmp_path / "kalman.jsonl"
+    with traced_run(path) as recorder:
+        KalmanSmootherReconstructor().reconstruct(series(3))
+        recorder.write_metrics()
+        KalmanSmootherReconstructor().reconstruct(series(5))
+    frame = render_watch(fold_trace(path.read_text()), now=0.0)
+    [row] = [line for line in frame.splitlines() if "kalman.filter" in line]
+    kernel, fits, _, _, value, state, trend = row.split()
+    assert (kernel, fits, state) == ("kalman.filter", "2", "ok")
+    assert float(value) > 0.0  # the last delta
+    assert trend.strip()
