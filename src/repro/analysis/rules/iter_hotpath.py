@@ -1,13 +1,11 @@
-"""Rule guarding the per-iteration telemetry fast path in kernel loops.
+"""Rule keeping trace-facade calls out of unguarded kernel loops.
 
-The convergence layer (:mod:`repro.telemetry.convergence`) keeps
-permanently-instrumented kernels cheap through two disciplines: span
-and metric calls are hoisted *out* of iteration loops (one
-``IterationTracker`` per fit, obtained before the loop), and any
-record argument that costs something to build — a reduction, a norm, a
-condition number — is computed only under a ``tracker.enabled`` guard.
-This rule pins both, so a future edit cannot quietly put a dict
-allocation or a vectorized max on the disabled hot path.
+Permanently-instrumented kernels stay cheap because their span and
+metric calls run once per call, not once per iteration: a loop that
+needs a count (the jittered Cholesky's retries) tallies it in a local
+and publishes it after the loop.  This rule pins that, so a future
+edit cannot quietly put a per-iteration facade call on the hot path.
+A call under an ``if trace.enabled():`` guard is exempt.
 """
 
 from __future__ import annotations
@@ -19,27 +17,13 @@ from repro.analysis.base import Finding, ModuleContext, Rule, register_rule
 
 __all__ = ["IterHotpathRule"]
 
-#: Trace-facade functions that are per-fit machinery, not per-iteration
+#: Trace-facade functions that are per-call machinery, not per-iteration
 #: machinery: calling any of them inside a kernel loop means spans or
-#: ring metrics churn once per iteration.
-_FACADE_CALLS = frozenset({"span", "count", "gauge", "iterations"})
+#: metrics churn once per iteration.
+_FACADE_CALLS = frozenset({"span", "count", "gauge"})
 
 #: Modules whose import binds the trace facade.
 _TRACE_MODULES = ("repro.telemetry", "repro.telemetry.trace")
-
-
-def _is_simple(node: ast.expr) -> bool:
-    """Whether evaluating the argument is free on the disabled path.
-
-    Names, constants, and plain attribute chains only — a call, an
-    arithmetic expression, a conditional, or a dict/list literal all do
-    per-iteration work (or allocate) before ``record`` can no-op.
-    """
-    if isinstance(node, (ast.Name, ast.Constant)):
-        return True
-    if isinstance(node, ast.Attribute):
-        return _is_simple(node.value)
-    return False
 
 
 def _is_enabled_probe(node: ast.expr) -> bool:
@@ -67,26 +51,23 @@ def _guard_kind(test: ast.expr) -> str | None:
 
 @register_rule("iter-hotpath")
 class IterHotpathRule(Rule):
-    """Per-iteration telemetry must ride the no-op tracker fast path."""
+    """Trace-facade calls stay out of unguarded kernel loops."""
 
-    title = "per-iteration telemetry off the no-op fast path"
+    title = "trace-facade call inside a kernel loop"
     severity = "error"
     rationale = (
         "Kernels stay permanently instrumented only because the "
-        "disabled path is near-free: trace.iterations() hands back a "
-        "shared no-op tracker and record() takes named scalars, so a "
-        "loop iteration with tracing off costs one attribute read.  A "
-        "trace.span/count/gauge call inside a kernel loop, or a "
-        "record() argument that computes a reduction or allocates a "
-        "container, silently re-introduces per-iteration overhead for "
-        "every untraced production run — the regression the "
-        "overhead-budget tests exist to catch, moved to check time."
+        "disabled path is near-free: each instrumented call pays one "
+        "global read per span or metric.  A trace.span/count/gauge "
+        "call inside a kernel loop pays it once per iteration, and "
+        "under tracing churns spans or metrics per iteration — the "
+        "regression the overhead-budget tests exist to catch, moved "
+        "to check time."
     )
     hint = (
-        "Hoist span/metric calls out of the loop (open one "
-        "trace.iterations(...) tracker per fit) and compute derived "
-        "record() arguments in locals under an 'if tracker.enabled:' "
-        "guard so the disabled path skips them."
+        "Hoist span/metric calls out of the loop: tally per-iteration "
+        "events in a local and publish the total after the loop, or "
+        "put the call under an 'if trace.enabled():' guard."
     )
     scope = (
         "repro.stats",
@@ -192,7 +173,7 @@ class IterHotpathRule(Rule):
         guarded: bool,
         in_loop: bool,
     ) -> Iterator[Finding]:
-        """Flag facade and costly-record calls in one simple statement."""
+        """Flag facade calls in one simple statement."""
         if node is None or guarded or not in_loop:
             return
         for sub in ast.walk(node):
@@ -204,14 +185,9 @@ class IterHotpathRule(Rule):
                     context,
                     sub,
                     f"trace.{facade}() inside a kernel loop runs once "
-                    "per iteration; hoist it out of the loop and feed "
-                    "per-iteration data through an IterationTracker",
+                    "per iteration; tally in a local and publish the "
+                    "total after the loop",
                 )
-            elif (
-                isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "record"
-            ):
-                yield from self._check_record(context, sub)
 
     def _facade_call(self, func: ast.expr) -> str | None:
         """The facade function name when ``func`` is a trace call."""
@@ -225,28 +201,3 @@ class IterHotpathRule(Rule):
         if isinstance(func, ast.Name) and func.id in self._facade_aliases:
             return func.id
         return None
-
-    def _check_record(
-        self, context: ModuleContext, call: ast.Call
-    ) -> Iterator[Finding]:
-        """Unguarded ``.record(...)`` may only pass free-to-read args."""
-        for arg in call.args:
-            if isinstance(arg, ast.Starred) or not _is_simple(arg):
-                yield self.finding(
-                    context,
-                    call,
-                    "unguarded record() argument does per-iteration "
-                    "work even when tracing is disabled; compute it in "
-                    "a local under 'if tracker.enabled:'",
-                )
-                return
-        for keyword in call.keywords:
-            if keyword.arg is None or not _is_simple(keyword.value):
-                yield self.finding(
-                    context,
-                    call,
-                    "unguarded record() argument does per-iteration "
-                    "work even when tracing is disabled; compute it in "
-                    "a local under 'if tracker.enabled:'",
-                )
-                return

@@ -313,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Tail the repro-trace/v2 stream a running sweep writes "
             "with --trace and redraw a dashboard each interval: "
-            "progress bar with rate and ETA, parent/worker RSS, and "
-            "the per-kernel convergence state fed by the kernel.* "
-            "heartbeat gauges.  Works equally on a finished stream "
+            "progress bar with rate and ETA, and parent/worker RSS.  "
+            "Works equally on a finished stream "
             "(the final state renders, marked 'run complete'); --once "
             "prints a single frame and exits, for CI logs."
         ),
@@ -451,9 +450,8 @@ def _run_check(args) -> int:
 def _load_trace(path: str) -> tuple[dict | None, int]:
     """Fold + validate one trace stream; ``(payload, exit_code)``.
 
-    Forward-compatibility findings (a stream or nested convergence
-    payload declaring a schema version this build does not know) are
-    printed as ``warning:`` lines and do not fail the load.
+    Forward-compatibility findings (a stream declaring a schema version
+    this build does not know) are printed as ``warning:`` lines and do not fail the load.
     """
     warnings: list[str] = []
     try:

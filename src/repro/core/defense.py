@@ -23,6 +23,7 @@ and reports the achieved Definition-8.1 dissimilarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,12 +93,10 @@ def design_noise_spectrum(
 
 @dataclass(frozen=True)
 class DesignedNoise:
-    """A designed noise scheme plus its similarity diagnostics.
+    """A designed noise covariance plus its similarity diagnostics.
 
     Attributes
     ----------
-    scheme:
-        Ready-to-apply correlated-noise randomization scheme.
     profile:
         The path parameter that produced it.
     dissimilarity:
@@ -108,10 +107,18 @@ class DesignedNoise:
         eigenvalues).
     """
 
-    scheme: CorrelatedNoiseScheme
     profile: float
     dissimilarity: float
     noise_model: CovarianceModel
+
+    @cached_property
+    def scheme(self) -> CorrelatedNoiseScheme:
+        """Ready-to-apply correlated-noise scheme, built on first access.
+
+        Construction checks the covariance and factors it, which the
+        moment-space Figure 4 jobs never need.
+        """
+        return CorrelatedNoiseScheme(self.noise_model.matrix)
 
 
 class NoiseDesigner:
@@ -151,7 +158,7 @@ class NoiseDesigner:
         return self._noise_power
 
     def design(self, profile: float) -> DesignedNoise:
-        """Build the noise scheme at one point of the similarity path."""
+        """Design the noise at one point of the similarity path."""
         spectrum = design_noise_spectrum(
             self._data_model.eigenvalues,
             noise_power=self._noise_power,
@@ -164,7 +171,6 @@ class NoiseDesigner:
             inputs="covariance",
         )
         return DesignedNoise(
-            scheme=CorrelatedNoiseScheme(noise_model.matrix),
             profile=float(profile),
             dissimilarity=dissimilarity,
             noise_model=noise_model,

@@ -14,7 +14,6 @@ import time
 from typing import Any, TextIO
 
 from repro.engine.jobs import JobResult
-from repro.telemetry.convergence import collect_payloads, summarize_payloads
 
 __all__ = ["ProgressReporter", "ThroughputReporter", "TraceReporter"]
 
@@ -93,12 +92,8 @@ class TraceReporter(ProgressReporter):
     printing, it records one row per completed job — cache key,
     duration, cache provenance, completion order — for
     :func:`repro.telemetry.manifest.build_manifest` to join onto the
-    spec's job table.  When a result carries a worker trace fragment,
-    the fragment's ``repro-convergence/v1`` payloads are folded into a
-    per-kernel ``convergence`` summary on the row (in-process results
-    ship no fragment; their payloads live in the parent trace itself).
-    An optional ``inner`` reporter receives every hook unchanged, so
-    tracing composes with terminal progress output.
+    spec's job table.  An optional ``inner`` reporter receives every
+    hook unchanged, so tracing composes with terminal progress output.
 
     Parameters
     ----------
@@ -129,10 +124,6 @@ class TraceReporter(ProgressReporter):
             "cached": bool(result.cached),
             "order": completed,
         }
-        if result.trace is not None:
-            payloads = collect_payloads(result.trace.get("span"))
-            if payloads:
-                row["convergence"] = summarize_payloads(payloads)
         self.rows.append(row)
         if self.inner is not None:
             self.inner.on_result(result, completed, total)

@@ -7,8 +7,6 @@ errors such as :class:`TypeError` raised by NumPy itself.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 __all__ = [
     "ReproError",
     "ValidationError",
@@ -59,61 +57,16 @@ class NotPositiveDefiniteError(ReproError, ValueError):
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative procedure failed to converge within its budget.
 
-    Beyond the iteration count, the raiser can attach the state the
-    procedure died in — the final objective value, the last
-    convergence delta, and the tail of the objective trajectory — so a
-    non-convergent fit is diagnosable post-mortem from the exception
-    alone, without re-running under tracing.
-
     Attributes
     ----------
     iterations:
         Iterations consumed before giving up, or ``None``.
-    final_objective:
-        Last objective value (e.g. mean log-likelihood), or ``None``.
-    last_delta:
-        Last convergence increment compared against the tolerance, or
-        ``None``.
-    trajectory_tail:
-        The most recent objective values as a tuple, oldest first, or
-        ``None``.
     """
 
-    def __init__(
-        self,
-        message: str,
-        iterations: int | None = None,
-        *,
-        final_objective: float | None = None,
-        last_delta: float | None = None,
-        trajectory_tail: Sequence[float] | None = None,
-    ):
+    def __init__(self, message: str, iterations: int | None = None):
         self.iterations = iterations
-        self.final_objective = (
-            float(final_objective) if final_objective is not None else None
-        )
-        self.last_delta = (
-            float(last_delta) if last_delta is not None else None
-        )
-        self.trajectory_tail = (
-            tuple(float(value) for value in trajectory_tail)
-            if trajectory_tail is not None
-            else None
-        )
-        details = []
         if iterations is not None:
-            details.append(f"after {iterations} iterations")
-        if self.final_objective is not None:
-            details.append(f"final objective {self.final_objective:.6g}")
-        if self.last_delta is not None:
-            details.append(f"last delta {self.last_delta:.3g}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        if self.trajectory_tail:
-            tail = ", ".join(
-                f"{value:.6g}" for value in self.trajectory_tail
-            )
-            message = f"{message}; trajectory tail [{tail}]"
+            message = f"{message} (after {iterations} iterations)"
         super().__init__(message)
 
 

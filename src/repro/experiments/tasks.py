@@ -43,6 +43,7 @@ from repro.data.covariance_builder import CovarianceModel
 from repro.data.synthetic import generate_dataset, sample_moments
 from repro.mining.naive_bayes import utility_report
 from repro.randomization.additive import AdditiveNoiseScheme
+from repro.randomization.base import NoiseModel
 from repro.randomization.correlated import CorrelatedNoiseScheme
 from repro.reconstruction.bedr import BayesEstimateReconstructor
 from repro.reconstruction.pca_dr import PCAReconstructor
@@ -125,7 +126,7 @@ def correlated_noise_trial(params, rng):
         int(params["n_records"]),
         model.root,
         designed.noise_model.root,
-        designed.scheme.noise_model(model.dim),
+        NoiseModel(designed.noise_model.matrix, np.zeros(model.dim)),
         rng,
     )
     attacks = {

@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 #: Condition numbers are reported capped at this value so they stay
-#: representable in strict (``allow_nan=False``) JSON documents —
-#: matches :data:`repro.telemetry.convergence.CONDITION_CAP`.
+#: representable in strict (``allow_nan=False``) JSON documents, such
+#: as the ``linalg.*.condition`` gauges of a trace stream.
 CONDITION_CAP = 1e300
 
 

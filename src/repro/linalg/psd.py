@@ -10,11 +10,10 @@ module centralizes that.
 Because every repair is a numerical-health event, the module doubles as
 the telemetry layer's condition probe: under tracing, :func:`psd_inverse`
 and :func:`nearest_psd` publish ``linalg.*`` condition gauges and
-clip/repair counters, and the :func:`cholesky_with_jitter` retry loop
-feeds an :class:`~repro.telemetry.convergence.IterationTracker` (one
-record per attempt, jitter as the delta) under a ``linalg.cholesky``
-span.  All probes sit behind ``trace.enabled()``; the untraced paths
-are arithmetic-identical to the uninstrumented originals.
+clip/repair counters, and :func:`cholesky_with_jitter` counts its
+calls and jitter retries.  All probes sit behind ``trace.enabled()``
+and only read results; the traced and untraced paths compute the same
+bits.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.linalg.eigen import (
     sorted_eigh,
 )
 from repro.telemetry import trace
-from repro.telemetry.convergence import NULL_TRACKER
 from repro.utils.validation import check_in_range, check_symmetric
 
 __all__ = [
@@ -126,55 +124,34 @@ def cholesky_with_jitter(
     scale = float(np.mean(np.diag(sym)))
     if scale <= 0.0:
         scale = 1.0
-    if not trace.enabled():
-        return _cholesky_attempts(
-            sym, scale, initial_jitter, max_tries, NULL_TRACKER
-        )
-    with trace.span("linalg.cholesky", dim=int(sym.shape[0])):
-        tracker = trace.iterations("linalg.cholesky")
-        try:
-            factor = _cholesky_attempts(
-                sym, scale, initial_jitter, max_tries, tracker
-            )
-        except NotPositiveDefiniteError:
-            tracker.finish(converged=False)
-            raise
-        tracker.finish(converged=True)
-        return factor
-
-
-def _cholesky_attempts(
-    sym: np.ndarray,
-    scale: float,
-    initial_jitter: float,
-    max_tries: int,
-    tracker,
-) -> np.ndarray:
-    """The retry loop behind :func:`cholesky_with_jitter`.
-
-    ``tracker`` gets one record per attempt — the applied absolute
-    jitter as the delta, failures as rejections — and stays the no-op
-    singleton on the untraced path.
-    """
     jitter = 0.0
     next_jitter = initial_jitter
-    for _ in range(max_tries):
-        applied = jitter * scale
+    for retries in range(max_tries):
         try:
             factor = np.linalg.cholesky(
-                sym + applied * np.eye(sym.shape[0])
+                sym + (jitter * scale) * np.eye(sym.shape[0])
             )
         except np.linalg.LinAlgError:
-            tracker.record(delta=applied, rejected=1)
             jitter = next_jitter
             next_jitter *= 10.0
         else:
-            tracker.record(delta=applied)
-            return factor
-    raise NotPositiveDefiniteError(
-        "matrix is not positive definite even after adding jitter up to "
-        f"{jitter * scale:.3g}"
-    )
+            break
+    else:
+        _count_cholesky(max(max_tries - 1, 0))
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite even after adding jitter up "
+            f"to {jitter * scale:.3g}"
+        )
+    _count_cholesky(retries)
+    return factor
+
+
+def _count_cholesky(retries: int) -> None:
+    """Publish one :func:`cholesky_with_jitter` call and its retries."""
+    if trace.enabled():
+        trace.count("linalg.cholesky.calls")
+        if retries:
+            trace.count("linalg.cholesky.retries", retries)
 
 
 def psd_inverse(matrix, *, floor: float = 1e-10) -> np.ndarray:

@@ -34,8 +34,6 @@ from repro.linalg.statistics import DisguisedStatistics
 from repro.randomization.base import NoiseModel
 from repro.reconstruction.base import ReconstructionResult, Reconstructor
 from repro.registry import check_spec, register_attack
-from repro.telemetry import trace
-from repro.telemetry.convergence import NULL_TRACKER
 from repro.utils.validation import check_in_range
 
 __all__ = ["KalmanSmootherReconstructor"]
@@ -81,8 +79,7 @@ class KalmanSmootherReconstructor(Reconstructor):
         statistics: DisguisedStatistics,
     ) -> ReconstructionResult:
         disguised = statistics.table
-        n, m = disguised.shape
-        if n < 4:
+        if disguised.shape[0] < 4:
             raise ValidationError(
                 "Kalman smoothing needs at least 4 time steps"
             )
@@ -93,22 +90,9 @@ class KalmanSmootherReconstructor(Reconstructor):
         transition, process_cov, state_cov = self._identify(
             centered, noise_cov
         )
-        if not trace.enabled():
-            smoothed = self._rts_smooth(
-                centered, transition, process_cov, state_cov, noise_cov
-            )
-        else:
-            # One span for the whole smoothing pass; the tracker feeds
-            # it one record per forward-filter time step (innovation
-            # norm + innovation-covariance condition), the numerical
-            # vitals of the filter.
-            with trace.span("kalman.smooth", n=n, m=m):
-                tracker = trace.iterations("kalman.filter")
-                smoothed = self._rts_smooth(
-                    centered, transition, process_cov, state_cov,
-                    noise_cov, tracker,
-                )
-                tracker.finish()
+        smoothed = self._rts_smooth(
+            centered, transition, process_cov, state_cov, noise_cov
+        )
         return ReconstructionResult(
             estimate=smoothed + mean,
             method=self.name,
@@ -147,14 +131,11 @@ class KalmanSmootherReconstructor(Reconstructor):
         process_cov: np.ndarray,
         state_cov: np.ndarray,
         noise_cov: np.ndarray,
-        tracker=NULL_TRACKER,
     ) -> np.ndarray:
         """Forward Kalman filter + RTS backward pass (zero-mean data).
 
-        ``tracker`` receives one record per forward time step: the
-        innovation norm ``|y_t - ŷ_t|`` as the delta and the condition
-        number of the innovation covariance — both guarded behind
-        ``tracker.enabled`` so the untraced filter computes neither.
+        The backward pass needs only the smoothed means, so the smoothed
+        covariances are never formed.
         """
         n, m = observations.shape
         identity = np.eye(m)
@@ -177,11 +158,6 @@ class KalmanSmootherReconstructor(Reconstructor):
             predicted_covs[t] = cov
             innovation_cov = cov + noise_cov
             gain = cov @ psd_inverse(innovation_cov)
-            if tracker.enabled:
-                tracker.record(
-                    delta=float(np.linalg.norm(observations[t] - mean)),
-                    condition=float(np.linalg.cond(innovation_cov)),
-                )
             mean = mean + gain @ (observations[t] - mean)
             cov = nearest_psd((identity - gain) @ cov)
             filtered_means[t] = mean
@@ -189,7 +165,6 @@ class KalmanSmootherReconstructor(Reconstructor):
 
         smoothed = np.empty((n, m))
         smoothed[-1] = filtered_means[-1]
-        smooth_cov = filtered_covs[-1]
         for t in range(n - 2, -1, -1):
             predicted = predicted_covs[t + 1]
             smoother_gain = (
@@ -197,12 +172,6 @@ class KalmanSmootherReconstructor(Reconstructor):
             )
             smoothed[t] = filtered_means[t] + smoother_gain @ (
                 smoothed[t + 1] - predicted_means[t + 1]
-            )
-            smooth_cov = nearest_psd(
-                filtered_covs[t]
-                + smoother_gain
-                @ (smooth_cov - predicted)
-                @ smoother_gain.T
             )
         return smoothed
 

@@ -23,11 +23,7 @@ provides
 * a **run-health layer**: ``/proc``-based worker resource sampling
   (:mod:`~repro.telemetry.sampler`), the live ``repro watch`` dashboard
   tailing a stream (:mod:`~repro.telemetry.watch`), and cross-run
-  trace diffing (:mod:`~repro.telemetry.diff`);
-* **convergence telemetry**: per-iteration trackers for the iterative
-  kernels (:mod:`~repro.telemetry.convergence`), serialized as
-  ``repro-convergence/v1`` span payloads and surfaced by the viewer,
-  the diff, the manifests, and the watch dashboard.
+  trace diffing (:mod:`~repro.telemetry.diff`).
 
 Typical use::
 
@@ -48,12 +44,6 @@ or, in memory::
 from __future__ import annotations
 
 from repro.telemetry import trace
-from repro.telemetry.convergence import (
-    CONVERGENCE_SCHEMA,
-    IterationTracker,
-    collect_payloads,
-    summarize_payloads,
-)
 from repro.telemetry.diff import diff_traces, render_diff
 from repro.telemetry.manifest import (
     MANIFEST_KIND,
@@ -77,8 +67,6 @@ from repro.telemetry.viewer import format_seconds, render_trace, sparkline
 from repro.telemetry.watch import render_watch, watch_loop
 
 __all__ = [
-    "CONVERGENCE_SCHEMA",
-    "IterationTracker",
     "MANIFEST_KIND",
     "Recorder",
     "ResourceSampler",
@@ -86,7 +74,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "TraceStream",
     "build_manifest",
-    "collect_payloads",
     "diff_traces",
     "fold_trace",
     "format_seconds",
@@ -100,7 +87,6 @@ __all__ = [
     "sampling_supported",
     "sparkline",
     "spec_fingerprint",
-    "summarize_payloads",
     "trace",
     "traced_run",
     "validate_trace",

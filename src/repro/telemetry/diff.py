@@ -3,7 +3,7 @@
 ``repro trace diff A.json B.json`` aligns the span trees of two
 ``repro-trace/v2`` documents and reports, per aligned span, the change
 in duration with self-time attribution — so "the sweep got 40% slower"
-decomposes into "Kalman iterations in these three jobs" instead of a
+decomposes into "the SF attack in these three jobs" instead of a
 number.  Alignment is structural, not positional: a span's identity is
 its ancestry path where each step prefers the engine cache key
 (``attrs.key`` — worker- and schedule-independent), and only falls
@@ -19,11 +19,9 @@ visible in the same report.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from repro.exceptions import ValidationError
-from repro.telemetry.convergence import payload_scalar
 from repro.telemetry.spans import Span
 from repro.telemetry.viewer import format_seconds
 
@@ -40,12 +38,9 @@ _SPEC_FIELDS = ("name", "hash", "task", "n_points", "trials", "seed",
 def _span_stats(roots: list[Span]) -> dict[str, dict[str, Any]]:
     """Aggregate spans by identity path.
 
-    Returns ``path -> {name, count, duration, self, cached,
-    convergence}`` where ``path`` encodes the span's ancestry (see
-    module docstring for the identity rules) and ``convergence`` folds
-    any ``repro-convergence/*`` payloads found along the path (``None``
-    when the path carries none — pre-convergence traces aggregate
-    exactly as before).
+    Returns ``path -> {name, count, duration, self, cached}`` where
+    ``path`` encodes the span's ancestry (see module docstring for the
+    identity rules).
     """
     stats: dict[str, dict[str, Any]] = {}
 
@@ -67,7 +62,6 @@ def _span_stats(roots: list[Span]) -> dict[str, dict[str, Any]]:
                 "duration": 0.0,
                 "self": 0.0,
                 "cached": 0,
-                "convergence": None,
             },
         )
         entry["count"] += 1
@@ -75,31 +69,6 @@ def _span_stats(roots: list[Span]) -> dict[str, dict[str, Any]]:
         entry["self"] += span.self_time()
         if span.attrs.get("cached"):
             entry["cached"] += 1
-        payload = span.attrs.get("convergence")
-        if isinstance(payload, dict) and str(
-            payload.get("schema", "")
-        ).startswith("repro-convergence/"):
-            folded = entry["convergence"]
-            if folded is None:
-                folded = {
-                    "kernel": str(payload.get("kernel", "?")),
-                    "fits": 0,
-                    "iterations": 0,
-                    "nonconverged": 0,
-                    "nonfinite": 0,
-                    "final_objective": None,
-                }
-                entry["convergence"] = folded
-            folded["fits"] += 1
-            for field in ("iterations", "nonfinite"):
-                value = payload.get(field)
-                if isinstance(value, int) and not isinstance(value, bool):
-                    folded[field] += value
-            if payload.get("converged") is False:
-                folded["nonconverged"] += 1
-            final = payload_scalar(payload, "final_objective")
-            if final is not None:
-                folded["final_objective"] = final
         child_counts: dict[str, int] = {}
         for child in span.children:
             visit(child, path, child_counts)
@@ -155,16 +124,10 @@ def diff_traces(
     Returns
     -------
     dict
-        ``{"a", "b", "spans", "counters", "convergence", "manifest"}``
-        where each span row carries the aligned path, per-run
-        duration/self-time, the deltas, a ``status`` of
-        ``common``/``added``/``removed`` (relative to A), and whether
-        its cached state flipped.  ``convergence`` holds one row per
-        aligned path carrying convergence payloads on either side:
-        iteration-count delta, final-objective delta (``None`` when
-        either side is missing or non-finite), and the ``diverged`` /
-        ``nonfinite_introduced`` flags marking a run that stopped
-        converging or started producing NaNs relative to A.
+        ``{"a", "b", "spans", "counters", "manifest"}`` where each
+        span row carries the aligned path, per-run duration/self-time,
+        the deltas, a ``status`` of ``common``/``added``/``removed``
+        (relative to A), and whether its cached state flipped.
     """
     for label, payload in (("A", a_payload), ("B", b_payload)):
         if not isinstance(payload, dict):
@@ -204,43 +167,6 @@ def diff_traces(
             }
         )
 
-    convergence_rows: list[dict[str, Any]] = []
-    for path in sorted(set(a_stats) | set(b_stats)):
-        conv_a = (a_stats.get(path) or {}).get("convergence")
-        conv_b = (b_stats.get(path) or {}).get("convergence")
-        if conv_a is None and conv_b is None:
-            continue
-        a_iterations = conv_a["iterations"] if conv_a else 0
-        b_iterations = conv_b["iterations"] if conv_b else 0
-        a_final = conv_a["final_objective"] if conv_a else None
-        b_final = conv_b["final_objective"] if conv_b else None
-        comparable = (
-            a_final is not None
-            and b_final is not None
-            and math.isfinite(a_final)
-            and math.isfinite(b_final)
-        )
-        convergence_rows.append(
-            {
-                "path": path,
-                "kernel": (conv_b or conv_a or {}).get("kernel", "?"),
-                "a_iterations": a_iterations,
-                "b_iterations": b_iterations,
-                "delta_iterations": b_iterations - a_iterations,
-                "a_final_objective": a_final,
-                "b_final_objective": b_final,
-                "delta_final_objective": (
-                    b_final - a_final if comparable else None
-                ),
-                "diverged": bool(conv_b and conv_b["nonconverged"])
-                and not bool(conv_a and conv_a["nonconverged"]),
-                "nonfinite_introduced": bool(
-                    conv_b and conv_b["nonfinite"]
-                )
-                and not bool(conv_a and conv_a["nonfinite"]),
-            }
-        )
-
     counter_rows: list[dict[str, Any]] = []
     a_counters = a_payload.get("counters") or {}
     b_counters = b_payload.get("counters") or {}
@@ -273,7 +199,6 @@ def diff_traces(
         "b": summary(b_payload, b_roots),
         "spans": rows,
         "counters": counter_rows,
-        "convergence": convergence_rows,
         "manifest": _manifest_delta(
             a_payload.get("manifest"), b_payload.get("manifest")
         ),
@@ -362,41 +287,6 @@ def render_diff(diff: dict[str, Any], *, top: int = 20) -> str:
                     f"  {row['path'].lstrip('/'):<52} "
                     f"{format_seconds(seconds):>9}"
                 )
-
-    convergence = [
-        row
-        for row in diff.get("convergence", [])
-        if row["delta_iterations"] != 0
-        or row["diverged"]
-        or row["nonfinite_introduced"]
-        or (
-            row["delta_final_objective"] is not None
-            and row["delta_final_objective"] != 0.0  # repro: ignore[float-eq] exact zero means both runs landed on the bit-identical objective; any real drift differs in the last bit
-        )
-    ]
-    if convergence:
-        lines.append("")
-        lines.append("convergence deltas:")
-        lines.append(
-            f"  {'span':<40} {'A iter':>7} {'B iter':>7} {'delta':>7} "
-            f"{'final obj delta':>16}"
-        )
-        for row in convergence[:top]:
-            label = row["path"].lstrip("/")
-            if len(label) > 40:
-                label = "..." + label[-37:]
-            obj_delta = row["delta_final_objective"]
-            obj_text = f"{obj_delta:+.6g}" if obj_delta is not None else "-"
-            flags = ""
-            if row["diverged"]:
-                flags += "  [diverged]"
-            if row["nonfinite_introduced"]:
-                flags += "  [nonfinite]"
-            lines.append(
-                f"  {label:<40} {row['a_iterations']:>7} "
-                f"{row['b_iterations']:>7} "
-                f"{row['delta_iterations']:>+7} {obj_text:>16}{flags}"
-            )
 
     counters = diff["counters"]
     if counters:

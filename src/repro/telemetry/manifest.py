@@ -127,11 +127,9 @@ def build_manifest(
     rows:
         Optional per-job timing rows — typically
         :attr:`~repro.engine.progress.TraceReporter.rows` — each a dict
-        with ``key``, ``duration``, and ``cached``, plus an optional
-        per-kernel ``convergence`` summary harvested from the job's
-        worker trace fragment.  Joined onto the spec's job table by
-        cache key, so they are read only with ``spec``; jobs without a
-        row keep lineage only.
+        with ``key``, ``duration``, and ``cached``.  Joined onto the
+        spec's job table by cache key, so they are read only with
+        ``spec``; jobs without a row keep lineage only.
     extra:
         Free-form annotations stored under ``"extra"``.
 
@@ -173,8 +171,6 @@ def build_manifest(
             if row is not None:
                 entry["duration"] = float(row["duration"])
                 entry["cached"] = bool(row["cached"])
-                if "convergence" in row:
-                    entry["convergence"] = row["convergence"]
             table.append(entry)
         manifest["jobs"] = table
     if extra:

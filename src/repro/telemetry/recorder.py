@@ -150,8 +150,8 @@ class Recorder:
         fragment's span tree becomes a child of the calling thread's
         current span (or a new root), its counters merge additively
         into this recorder's, and its gauges merge last-value-wins —
-        so a worker's ``kernel.*`` convergence heartbeats reach the
-        next ``metrics`` line as each job completes.
+        so a worker's counters and gauges reach the next ``metrics``
+        line as each job completes.
         """
         if not isinstance(fragment, dict):
             raise ValidationError(

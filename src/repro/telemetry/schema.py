@@ -19,14 +19,13 @@ raises a single :class:`~repro.exceptions.ValidationError` listing
 *every* problem found, so CI's schema gate reports all breakage at
 once instead of one field per run.
 
-Forward compatibility: a document (or a nested convergence payload)
-declaring a *newer* version of a known schema family — e.g.
-``repro-trace/v3`` read by a ``v2`` build — is not a structural
-failure.  The validators record a named warning (``unknown-schema-
-version`` / ``unknown-payload-schema``) into the caller-supplied
-``warnings`` sink, skip the structural checks that no longer apply,
-and accept the document, so old tooling degrades gracefully on new
-artifacts instead of failing CI with a generic error.
+Forward compatibility: a document declaring a *newer* version of the
+schema family — e.g. ``repro-trace/v3`` read by a ``v2`` build — is not
+a structural failure.  The validator records a named warning
+(``unknown-schema-version``) into the caller-supplied ``warnings``
+sink, skips the structural checks, and accepts the document, so old
+tooling degrades gracefully on new artifacts instead of failing CI
+with a generic error.
 """
 
 from __future__ import annotations
@@ -35,10 +34,8 @@ import numbers
 from typing import Any
 
 from repro.exceptions import ValidationError
-from repro.telemetry.convergence import CONVERGENCE_SCHEMA
 
 __all__ = [
-    "CONVERGENCE_SCHEMA",
     "TRACE_SCHEMA",
     "validate_trace",
 ]
@@ -51,40 +48,8 @@ TRACE_SCHEMA = "repro-trace/v2"
 #: silently ride along in a "valid" document.
 _SPAN_FIELDS = {"name", "start_unix", "duration", "attrs", "children"}
 
-#: Recognized fields of a ``repro-convergence/v1`` payload.
-_CONVERGENCE_FIELDS = {
-    "schema",
-    "kernel",
-    "iterations",
-    "converged",
-    "truncated",
-    "rejections",
-    "nonfinite",
-    "final_objective",
-    "final_delta",
-    "objective",
-    "delta",
-    "condition",
-}
-
-#: Convergence counters that must be non-negative integers.
-_CONVERGENCE_COUNTS = ("iterations", "rejections", "nonfinite")
-
-#: Trajectory lists of a convergence payload.
-_CONVERGENCE_SERIES = ("objective", "delta", "condition")
-
-#: String stand-ins :func:`repro.utils.serialization.sanitize_for_json`
-#: uses for non-finite floats; trajectory entries may be any of them.
-_NONFINITE_SENTINELS = {"__nan__", "__inf__", "__-inf__"}
-
-
 def _is_number(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_trajectory_value(value: Any) -> bool:
-    """A trajectory entry: a number or a non-finite sentinel string."""
-    return _is_number(value) or value in _NONFINITE_SENTINELS
 
 
 def _unknown_family_version(
@@ -98,77 +63,10 @@ def _unknown_family_version(
     )
 
 
-def _check_convergence(
-    payload: Any, path: str, problems: list[str], warnings: list[str]
-) -> None:
-    if not isinstance(payload, dict):
-        problems.append(
-            f"{path}: convergence payload must be a dict, got "
-            f"{type(payload).__name__}"
-        )
-        return
-    schema = payload.get("schema")
-    if schema != CONVERGENCE_SCHEMA:
-        if _unknown_family_version(
-            schema, "repro-convergence", CONVERGENCE_SCHEMA
-        ):
-            warnings.append(
-                f"unknown-payload-schema: {path} declares {schema!r}; "
-                f"this build validates {CONVERGENCE_SCHEMA!r}, "
-                "structural checks skipped"
-            )
-        else:
-            problems.append(
-                f"{path}: 'schema' must be {CONVERGENCE_SCHEMA!r}, "
-                f"got {schema!r}"
-            )
-        return
-    unknown = sorted(set(payload) - _CONVERGENCE_FIELDS)
-    if unknown:
-        problems.append(f"{path}: unknown convergence field(s) {unknown}")
-    kernel = payload.get("kernel")
-    if not isinstance(kernel, str) or not kernel:
-        problems.append(f"{path}: 'kernel' must be a non-empty string")
-    for field in _CONVERGENCE_COUNTS:
-        value = payload.get(field)
-        if (
-            not isinstance(value, int)
-            or isinstance(value, bool)
-            or value < 0
-        ):
-            problems.append(
-                f"{path}: {field!r} must be a non-negative integer"
-            )
-    for field in ("converged", "truncated"):
-        if field in payload and not isinstance(payload[field], bool):
-            problems.append(f"{path}: {field!r} must be a bool")
-    for field in ("final_objective", "final_delta"):
-        if field in payload and not _is_trajectory_value(payload[field]):
-            problems.append(
-                f"{path}: {field!r} must be a number or a "
-                "non-finite sentinel"
-            )
-    for field in _CONVERGENCE_SERIES:
-        series = payload.get(field)
-        if series is None:
-            continue
-        if not isinstance(series, list):
-            problems.append(f"{path}: {field!r} must be a list")
-            continue
-        for index, value in enumerate(series):
-            if not _is_trajectory_value(value):
-                problems.append(
-                    f"{path}: {field}[{index}] must be a number or a "
-                    "non-finite sentinel"
-                )
-                break
-
-
 def _check_span(
     span: Any,
     path: str,
     problems: list[str],
-    warnings: list[str],
     depth: int = 0,
 ) -> None:
     if depth > 64:
@@ -194,22 +92,12 @@ def _check_span(
         not isinstance(key, str) for key in attrs
     ):
         problems.append(f"{path}: 'attrs' must be a string-keyed dict")
-    elif "convergence" in attrs:
-        _check_convergence(
-            attrs["convergence"],
-            f"{path}.attrs.convergence",
-            problems,
-            warnings,
-        )
     children = span.get("children", [])
     if not isinstance(children, list):
         problems.append(f"{path}: 'children' must be a list")
         return
     for index, child in enumerate(children):
-        _check_span(
-            child, f"{path}.children[{index}]", problems, warnings,
-            depth + 1,
-        )
+        _check_span(child, f"{path}.children[{index}]", problems, depth + 1)
 
 
 def _check_metrics(
@@ -249,35 +137,6 @@ def _check_manifest(manifest: Any, problems: list[str]) -> None:
             problems.append(f"{path}: 'duration' must be a number")
         if "cached" in job and not isinstance(job["cached"], bool):
             problems.append(f"{path}: 'cached' must be a bool")
-        if "convergence" in job:
-            _check_job_convergence(job["convergence"], path, problems)
-
-
-def _check_job_convergence(
-    summary: Any, path: str, problems: list[str]
-) -> None:
-    """Validate a manifest job's per-kernel convergence summary.
-
-    The summary is the :func:`repro.telemetry.convergence.
-    summarize_payloads` shape: kernel name to a dict of integer
-    counts (``fits``, ``iterations``, ...).
-    """
-    if not isinstance(summary, dict):
-        problems.append(f"{path}: 'convergence' must be a dict")
-        return
-    for kernel, counts in summary.items():
-        entry = f"{path}.convergence[{kernel!r}]"
-        if not isinstance(kernel, str) or not kernel:
-            problems.append(f"{entry}: kernel names must be strings")
-            continue
-        if not isinstance(counts, dict):
-            problems.append(f"{entry}: must be a dict of counts")
-            continue
-        for field, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                problems.append(
-                    f"{entry}[{field!r}]: count must be an integer"
-                )
 
 
 def validate_trace(
@@ -293,9 +152,7 @@ def validate_trace(
         Optional sink for non-fatal findings.  A document declaring an
         unknown ``repro-trace/*`` version appends an
         ``unknown-schema-version`` entry here (and skips structural
-        checks) instead of failing; nested convergence payloads at
-        unknown ``repro-convergence/*`` versions append
-        ``unknown-payload-schema`` entries likewise.
+        checks) instead of failing.
 
     Returns
     -------
@@ -332,7 +189,7 @@ def validate_trace(
         problems.append("'spans' must be a list")
     else:
         for index, span in enumerate(spans):
-            _check_span(span, f"spans[{index}]", problems, warn_sink)
+            _check_span(span, f"spans[{index}]", problems)
     _check_metrics(payload, "counters", problems)
     _check_metrics(payload, "gauges", problems)
     _check_manifest(payload.get("manifest"), problems)

@@ -27,7 +27,7 @@ class Span:
     ----------
     name:
         Dotted operation label, e.g. ``"engine.job"`` or
-        ``"kalman.smooth"``.
+        ``"data.moments"``.
     start_unix:
         Wall-clock start (``time.time()``); wall time is the only clock
         comparable across processes, so queue-wait arithmetic uses it.

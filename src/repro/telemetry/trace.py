@@ -4,9 +4,8 @@ Usage in instrumented modules::
 
     from repro.telemetry import trace
 
-    with trace.span("kalman.smooth", n=n) as span:
+    with trace.span("data.moments", n=n, m=m):
         ...
-        span.set(iterations=iterations)
     trace.count("cache.hit")
 
 The module holds at most one *active* :class:`~repro.telemetry.
@@ -14,8 +13,9 @@ recorder.Recorder` per process.  When none is active — the default —
 every call here is a no-op on a fast path: :func:`span` returns a
 shared singleton context manager and :func:`count`/:func:`gauge`
 return after one global read, so permanently-instrumented hot paths
-cost nothing measurable when tracing is off (pinned under 2% of an EM
-fit by the overhead-budget tests in ``tests/unit/test_telemetry.py``).
+cost nothing measurable when tracing is off (pinned under 2% of a
+Kalman smooth by the overhead-budget tests in
+``tests/unit/test_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ import contextlib
 from types import TracebackType
 from typing import Any, Iterator
 
-from repro.telemetry.convergence import (
-    NULL_TRACKER,
-    IterationTracker,
-    _NullTracker,
-)
 from repro.telemetry.recorder import Recorder
 from repro.telemetry.spans import Span
 
@@ -42,7 +37,6 @@ __all__ = [
     "adopt",
     "heartbeat",
     "current_span",
-    "iterations",
 ]
 
 #: The process-wide active recorder; ``None`` disables all tracing.
@@ -189,19 +183,3 @@ def current_span() -> Span | None:
         return None
     return recorder.current_span()
 
-
-def iterations(kernel: str) -> IterationTracker | _NullTracker:
-    """An :class:`IterationTracker` for the kernel fit under way.
-
-    Returns the shared no-op :data:`~repro.telemetry.convergence.
-    NULL_TRACKER` singleton when tracing is disabled — the per-call
-    cost is then one global read, same as :func:`span`.  When tracing
-    is active the tracker binds to the calling thread's current span
-    (normally the kernel's own span, opened just before), which is
-    where :meth:`~IterationTracker.finish` attaches the
-    ``repro-convergence/v1`` payload.  One tracker per span.
-    """
-    recorder = _ACTIVE
-    if recorder is None:
-        return NULL_TRACKER
-    return IterationTracker(kernel, recorder, recorder.current_span())

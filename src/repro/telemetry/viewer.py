@@ -1,27 +1,19 @@
 """ASCII rendering of ``repro-trace/v2`` documents.
 
 The ``repro trace <file>`` viewer: a span tree with durations and key
-attributes, a where-did-the-time-go aggregate per span name, a
-``convergence:`` section summarizing every ``repro-convergence/v1``
-payload in the tree (per-kernel fit counts, iteration quantiles, and an
-objective-trajectory sparkline), the top-N slowest jobs as a horizontal
-bar chart (drawn with the :mod:`repro.experiments.ascii_plot`
-machinery), and a manifest summary when the document carries one.
+attributes, a where-did-the-time-go aggregate per span name, the
+top-N slowest jobs as a horizontal bar chart (drawn with the
+:mod:`repro.experiments.ascii_plot` machinery), and a manifest summary
+when the document carries one.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from typing import Any
 
 from repro.exceptions import ValidationError
-from repro.telemetry.convergence import (
-    collect_payloads,
-    payload_scalar,
-    trajectory_values,
-)
 from repro.telemetry.spans import Span
 
 __all__ = [
@@ -32,8 +24,7 @@ __all__ = [
     "sparkline",
 ]
 
-#: Glyph ramp shared by every sparkline in the telemetry reports
-#: (viewer, watch dashboard): low value = low glyph.
+#: Glyph ramp of :func:`sparkline`: low value = low glyph.
 _SPARK_LEVELS = " .:-=+*#%"
 
 #: Span attributes surfaced inline in the tree view, in display order.
@@ -74,7 +65,7 @@ def sparkline(values: list[float], *, width: int = 24) -> str:
     """One-line sparkline of a numeric series.
 
     Values map linearly onto the glyph ramp between the series' finite
-    min and max; non-finite entries render as ``!`` so a NaN objective
+    min and max; non-finite entries render as ``!`` so a NaN value
     is visible instead of silently scaled away.  Series longer than
     ``width`` are strided down to ``width`` points.
 
@@ -105,70 +96,6 @@ def sparkline(values: list[float], *, width: int = 24) -> str:
         else:
             glyphs.append(_SPARK_LEVELS[round((value - low) / span * top)])
     return "".join(glyphs)
-
-
-def _payload_spark(payload: dict[str, Any]) -> str:
-    """Trajectory sparkline for one payload: objective, else delta,
-    else condition; ``-`` when the payload carries no trajectory at all
-    (a zero-iteration fit, or a summary-only future version)."""
-    for field in ("objective", "delta", "condition"):
-        series = trajectory_values(payload, field)
-        if series:
-            return sparkline(series)
-    return "-"
-
-
-def _render_convergence(payloads: list[dict[str, Any]]) -> list[str]:
-    """The ``convergence:`` section from collected payloads, if any.
-
-    One row per kernel: fit count, converged tally (``-`` when the
-    kernel reports no binary verdict), median/max iterations-to-finish,
-    total rejections, the last fit's final objective, and that fit's
-    trajectory sparkline.
-    """
-    if not payloads:
-        return []
-    by_kernel: dict[str, list[dict[str, Any]]] = {}
-    for payload in payloads:
-        by_kernel.setdefault(str(payload.get("kernel", "?")), []).append(
-            payload
-        )
-    lines = ["", "convergence:"]
-    lines.append(
-        f"  {'kernel':<20} {'fits':>5} {'conv':>7} {'iter med/max':>13} "
-        f"{'rej':>6} {'final obj':>12}  trajectory"
-    )
-    for kernel in sorted(by_kernel):
-        group = by_kernel[kernel]
-        verdicts = [
-            payload["converged"]
-            for payload in group
-            if isinstance(payload.get("converged"), bool)
-        ]
-        conv = f"{sum(verdicts)}/{len(verdicts)}" if verdicts else "-"
-        iterations = [
-            payload["iterations"]
-            for payload in group
-            if isinstance(payload.get("iterations"), int)
-        ]
-        if iterations:
-            med = round(statistics.median(iterations))
-            iter_text = f"{med}/{max(iterations)}"
-        else:
-            iter_text = "-"
-        rejections = sum(
-            payload["rejections"]
-            for payload in group
-            if isinstance(payload.get("rejections"), int)
-        )
-        last = group[-1]
-        final = payload_scalar(last, "final_objective")
-        final_text = f"{final:.6g}" if final is not None else "-"
-        lines.append(
-            f"  {kernel:<20} {len(group):>5} {conv:>7} {iter_text:>13} "
-            f"{rejections:>6} {final_text:>12}  {_payload_spark(last)}"
-        )
-    return lines
 
 
 def render_resources(gauges: dict[str, Any]) -> list[str]:
@@ -359,15 +286,6 @@ def render_trace(
             lines.append(
                 f"  {name:<28} {count:>6} {format_seconds(total):>10}"
             )
-
-    # Convergence payloads live in the *serialized* attrs, so they are
-    # collected from the raw span dicts rather than the Span objects.
-    payloads = [
-        found
-        for span in payload.get("spans", [])
-        for found in collect_payloads(span)
-    ]
-    lines.extend(_render_convergence(payloads))
 
     jobs = [
         span

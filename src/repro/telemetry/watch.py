@@ -2,10 +2,8 @@
 
 ``repro watch trace.jsonl`` folds the stream a traced run is appending
 to (:func:`~repro.telemetry.stream.fold_trace`) and renders it —
-progress bar, job rate and ETA, worker RSS, and a per-kernel
-convergence table fed by the ``kernel.*`` heartbeat gauges — then
-redraws on an interval.  Progress, rate, and the rate and kernel trends
-(objective, else delta, else condition) come from the stream's
+progress bar, job rate and ETA, and worker RSS — then redraws on an
+interval.  Progress, rate, and the rate trend come from the stream's
 ``metrics`` lines; the staleness label
 from the time of its last line; "run complete" from its ``end`` line.
 Everything is derived from the on-disk file, so the dashboard attaches
@@ -40,10 +38,6 @@ STALE_AFTER = 10.0
 
 #: Progress bar width in characters.
 _BAR_WIDTH = 30
-
-#: Kernel gauges the value column and trend show, first present wins
-#: (the order of :func:`repro.telemetry.viewer._payload_spark`).
-_TREND_FIELDS = ("objective", "delta", "condition")
 
 
 def _progress_lines(metrics: list[dict[str, Any]]) -> list[str]:
@@ -87,66 +81,6 @@ def _progress_lines(metrics: list[dict[str, Any]]) -> list[str]:
     return lines
 
 
-def _kernel_rows(
-    counters: dict[str, Any], gauges: dict[str, Any]
-) -> dict[str, dict[str, float]]:
-    """Fold ``kernel.<name>.<field>`` metrics into per-kernel rows."""
-    rows: dict[str, dict[str, float]] = {}
-    for source in (counters, gauges):
-        for name, value in source.items():
-            if not name.startswith("kernel.") or not isinstance(
-                value, (int, float)
-            ):
-                continue
-            kernel, _, field = name[len("kernel."):].rpartition(".")
-            if kernel and field:
-                rows.setdefault(kernel, {})[field] = float(value)
-    return rows
-
-
-def _kernel_lines(metrics: list[dict[str, Any]]) -> list[str]:
-    """The per-kernel convergence table from the heartbeat metrics."""
-    if not metrics:
-        return []
-    rows = _kernel_rows(metrics[-1]["counters"], metrics[-1]["gauges"])
-    if not rows:
-        return []
-    lines = ["", "kernels:"]
-    lines.append(
-        f"  {'kernel':<20} {'fits':>6} {'iter':>6} {'rej':>6} "
-        f"{'value':>12} {'state':>10}  trend"
-    )
-    for kernel in sorted(rows):
-        row = rows[kernel]
-        fits = row.get("fits", 0.0)
-        iterations = row.get("iterations", 0.0)
-        rejections = row.get("rejections", 0.0)
-        field = next((f for f in _TREND_FIELDS if f in row), None)
-        value_text = f"{row[field]:.6g}" if field is not None else "-"
-        if row.get("nonfinite", 0.0) > 0:
-            state = "NONFINITE"
-        elif row.get("nonconverged", 0.0) > 0:
-            state = "DIVERGED"
-        elif row.get("converged") == 0.0:  # repro: ignore[float-eq] the converged gauge is written as exactly 0.0 or 1.0
-            state = "fitting"
-        else:
-            state = "ok"
-        name = f"kernel.{kernel}.{field}"
-        trend = sparkline(
-            [
-                float(line["gauges"][name])
-                for line in metrics
-                if isinstance(line["gauges"].get(name), (int, float))
-            ],
-            width=_BAR_WIDTH,
-        )
-        lines.append(
-            f"  {kernel:<20} {fits:>6.0f} {iterations:>6.0f} "
-            f"{rejections:>6.0f} {value_text:>12} {state:>10}  {trend}"
-        )
-    return lines
-
-
 def render_watch(stream: TraceStream, *, now: float | None = None) -> str:
     """Render one frame of the watch dashboard from a folded stream.
 
@@ -184,7 +118,6 @@ def render_watch(stream: TraceStream, *, now: float | None = None) -> str:
     lines.extend(_progress_lines(metrics))
     if metrics:
         lines.extend(render_resources(metrics[-1]["gauges"]))
-    lines.extend(_kernel_lines(metrics))
     if not metrics:
         lines.append("  (no metrics yet)")
     if stream.finished:

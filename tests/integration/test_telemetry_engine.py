@@ -123,7 +123,7 @@ class TestTracedEngineRuns:
         assert names[:2] == ["data.basis", "data.moments"]
         assert job["children"][1]["attrs"] == {"n": 80, "m": 4}
 
-    def test_kernel_hooks_emit_spans(self):
+    def test_kernel_hooks_publish_counters(self):
         import numpy as np
 
         from repro.linalg.psd import cholesky_with_jitter
@@ -132,16 +132,14 @@ class TestTracedEngineRuns:
         with trace.recording(recorder):
             KalmanSmootherReconstructor().reconstruct(_disguised_series())
             cholesky_with_jitter(np.ones((4, 4)))
-        names = [root.name for root in recorder.roots]
-        assert names == ["kalman.smooth", "linalg.cholesky"]
-        smooth, cholesky = recorder.roots
-        assert smooth.attrs["n"] == 60 and smooth.attrs["m"] == 2
-        assert smooth.attrs["convergence"]["kernel"] == "kalman.filter"
-        assert smooth.attrs["convergence"]["iterations"] == 60
-        assert cholesky.attrs["dim"] == 4
-        assert cholesky.attrs["convergence"]["kernel"] == "linalg.cholesky"
-        assert cholesky.attrs["convergence"]["converged"] is True
-        assert cholesky.attrs["convergence"]["rejections"] == 1
+        # Neither kernel opens a span of its own; the caller's span
+        # times them.
+        assert recorder.roots == []
+        # One innovation inverse per forward step of the 60-step series.
+        assert recorder.counters["linalg.psd_inverse.calls"] >= 60
+        # Rank one: the plain factorization fails, one retry succeeds.
+        assert recorder.counters["linalg.cholesky.calls"] == 1
+        assert recorder.counters["linalg.cholesky.retries"] == 1
 
     def test_kernel_results_identical_with_tracing_on(self):
         # Kalman and data generation: tracing must not touch the numbers.

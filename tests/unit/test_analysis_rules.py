@@ -698,45 +698,106 @@ class TestIterHotpath:
         (finding,) = fired(report, "iter-hotpath")
         assert "trace.count()" in finding.message
 
-    def test_record_with_call_argument_triggers(self, tmp_path):
+    def test_gauge_in_loop_triggers(self, tmp_path):
         report = check_snippet(
             tmp_path,
             """
+            from repro.telemetry import trace
+
+            def fit(columns):
+                for column in columns:
+                    trace.gauge("kernel.condition", column.condition())
+            """,
+            module=self.MODULE,
+        )
+        (finding,) = fired(report, "iter-hotpath")
+        assert "trace.gauge()" in finding.message
+        assert "after the loop" in finding.message
+
+    def test_aliased_facade_function_triggers(self, tmp_path):
+        report = check_snippet(
+            tmp_path,
+            """
+            from repro.telemetry.trace import count as tally
+
+            def fit(columns):
+                for column in columns:
+                    tally("kernel.columns")
+            """,
+            module=self.MODULE,
+        )
+        (finding,) = fired(report, "iter-hotpath")
+        assert "trace.tally()" in finding.message
+
+    def test_aliased_trace_module_triggers(self, tmp_path):
+        report = check_snippet(
+            tmp_path,
+            """
+            import repro.telemetry.trace as tr
+
+            def fit(columns):
+                for column in columns:
+                    with tr.span("kernel.step"):
+                        column.work()
+            """,
+            module=self.MODULE,
+        )
+        (finding,) = fired(report, "iter-hotpath")
+        assert "trace.span()" in finding.message
+
+    def test_enabled_guard_is_clean(self, tmp_path):
+        report = check_snippet(
+            tmp_path,
+            """
+            from repro.telemetry import trace
+
+            def fit(columns):
+                for column in columns:
+                    if trace.enabled() and column.sick():
+                        trace.count("kernel.sick")
+                    column.work()
+            """,
+            module=self.MODULE,
+        )
+        assert report.ok
+
+    def test_publish_in_the_loop_else_clause_is_clean(self, tmp_path):
+        # The jittered Cholesky's shape: retry in the loop, publish the
+        # tally once from the exhausted-budget branch.
+        report = check_snippet(
+            tmp_path,
+            """
+            from repro.telemetry import trace
+
+            def factor(attempts):
+                retries = 0
+                for retries, attempt in enumerate(attempts):
+                    if attempt.ok():
+                        break
+                else:
+                    trace.count("kernel.retries", retries)
+                    raise ValueError("budget exhausted")
+                trace.count("kernel.retries", retries)
+            """,
+            module=self.MODULE,
+        )
+        assert report.ok
+
+    def test_non_facade_method_calls_in_loop_are_clean(self, tmp_path):
+        # Only trace.span/count/gauge are per-call machinery; a
+        # collaborator's record() in a loop is the caller's business.
+        report = check_snippet(
+            tmp_path,
+            """
+            from repro.telemetry import trace
+
             def fit(columns, tracker):
                 for column in columns:
                     tracker.record(objective=float(column.max()))
             """,
             module=self.MODULE,
         )
-        (finding,) = fired(report, "iter-hotpath")
-        assert "record()" in finding.message
-        assert "enabled" in finding.message
-
-    def test_guarded_record_is_clean(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            def fit(columns, tracker):
-                for column in columns:
-                    if tracker.enabled:
-                        tracker.record(objective=float(column.max()))
-            """,
-            module=self.MODULE,
-        )
         assert not fired(report, "iter-hotpath")
-        assert report.ok
-
-    def test_simple_record_arguments_are_clean(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            def fit(columns, tracker):
-                for column in columns:
-                    objective = column.solve()
-                    tracker.record(objective=objective, rejected=1)
-            """,
-            module=self.MODULE,
-        )
         assert report.ok
 
     def test_early_exit_guard_is_sticky(self, tmp_path):
@@ -753,7 +814,8 @@ class TestIterHotpath:
                         column.work()
                         continue
                     with trace.span("kernel.column"):
-                        column.work(trace.iterations("kernel"))
+                        trace.count("kernel.columns")
+                        column.work()
             """,
             module=self.MODULE,
         )
@@ -771,7 +833,8 @@ class TestIterHotpath:
                         column.work()
                     else:
                         with trace.span("kernel.column"):
-                            column.work(trace.iterations("kernel"))
+                            trace.count("kernel.columns")
+                            column.work()
             """,
             module=self.MODULE,
         )
@@ -785,9 +848,10 @@ class TestIterHotpath:
 
             def fit(columns):
                 with trace.span("kernel.fit"):
-                    tracker = trace.iterations("kernel")
+                    retries = 0
                     for column in columns:
-                        tracker.record(objective=column)
+                        retries += column.work()
+                    trace.count("kernel.retries", retries)
             """,
             module=self.MODULE,
         )

@@ -1,12 +1,16 @@
 """Unit tests for the Section 8 noise designer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import defense
 from repro.core.defense import NoiseDesigner, design_noise_spectrum
 from repro.data.covariance_builder import CovarianceModel
 from repro.data.spectra import two_level_spectrum
 from repro.exceptions import ValidationError
+from repro.randomization.base import NoiseModel
 
 
 def _data_model():
@@ -103,3 +107,45 @@ class TestNoiseDesigner:
     def test_rejects_bad_power(self):
         with pytest.raises(ValidationError):
             NoiseDesigner(_data_model(), noise_power=-1.0)
+
+
+class TestDesignedNoiseScheme:
+    def test_design_builds_no_scheme(self, monkeypatch):
+        built = []
+
+        class Counting(defense.CorrelatedNoiseScheme):
+            def __init__(self, covariance):
+                built.append(covariance)
+                super().__init__(covariance)
+
+        monkeypatch.setattr(defense, "CorrelatedNoiseScheme", Counting)
+        designer = NoiseDesigner(_data_model(), noise_power=250.0)
+        designed = designer.design(0.5)
+        assert designed.dissimilarity >= 0.0
+        assert built == []
+        assert designed.scheme.total_power == pytest.approx(250.0)
+        assert len(built) == 1
+
+    def test_scheme_is_built_once(self):
+        designed = NoiseDesigner(_data_model(), noise_power=250.0).design(1.2)
+        assert designed.scheme is designed.scheme
+
+    @pytest.mark.parametrize("profile", [0.0, 0.5, 1.0, 2.0])
+    def test_scheme_carries_the_designed_covariance(self, profile):
+        # Figure 4's task builds its noise model straight from the
+        # designed covariance; it must be the one the scheme announces.
+        designed = NoiseDesigner(_data_model(), noise_power=250.0).design(
+            profile
+        )
+        announced = designed.scheme.noise_model(10)
+        direct = NoiseModel(designed.noise_model.matrix, np.zeros(10))
+        np.testing.assert_array_equal(
+            announced.covariance, direct.covariance
+        )
+        np.testing.assert_array_equal(announced.mean, direct.mean)
+        assert announced.family == direct.family
+
+    def test_designed_noise_stays_frozen(self):
+        designed = NoiseDesigner(_data_model(), noise_power=250.0).design(0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            designed.profile = 1.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConvergenceError, ValidationError
+from repro.exceptions import ConvergenceError, ReproError, ValidationError
 from repro.randomization.distribution_recon import (
     reconstruct_distribution,
     reconstruction_sweep,
@@ -151,3 +151,28 @@ class TestReconstructionSweep:
             reconstruction_sweep(
                 samples, GaussianDensity(0.0, 0.1), edges, probs
             )
+
+
+class TestConvergenceError:
+    def test_exhausted_budget_reports_its_iterations(self):
+        rng = np.random.default_rng(9)
+        disguised = _disguise(rng.normal(0.0, 5.0, 500), 2.0, 10)
+        with pytest.raises(ConvergenceError) as caught:
+            reconstruct_distribution(
+                disguised, GaussianDensity(0.0, 2.0), max_iter=3, tol=1e-300
+            )
+        assert caught.value.iterations == 3
+        assert str(caught.value) == (
+            "distribution reconstruction did not converge "
+            "(after 3 iterations)"
+        )
+
+    def test_message_stands_alone_without_iterations(self):
+        error = ConvergenceError("gave up")
+        assert error.iterations is None
+        assert str(error) == "gave up"
+
+    def test_is_a_runtime_error_of_the_library(self):
+        error = ConvergenceError("gave up", 2)
+        assert isinstance(error, RuntimeError)
+        assert isinstance(error, ReproError)

@@ -525,53 +525,12 @@ class TestProgressReporting:
         assert "3 jobs in" in output
 
 
-class TestTraceReporterConvergence:
-    def _worker_fragment(self):
-        """A fragment as a worker process would export it."""
-        from repro.telemetry import Recorder, trace
-
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with trace.span("engine.job"):
-                tracker = trace.iterations("em.fit")
-                tracker.record(objective=-3.0)
-                tracker.record(objective=-2.0, delta=1.0)
-                tracker.finish(converged=True)
-        return recorder.export_fragment()
-
-    def _result(self, key="job-0", fragment=None):
-        from repro.engine.jobs import JobResult
-
-        return JobResult(
-            key=key, values={}, duration=0.1, trace=fragment
-        )
-
-    def test_worker_fragment_rows_carry_a_summary(self):
-        from repro.engine.progress import TraceReporter
-
-        reporter = TraceReporter()
-        reporter.on_start(2)
-        reporter.on_result(self._result("a", self._worker_fragment()), 1, 2)
-        reporter.on_result(self._result("b"), 2, 2)
-        with_summary, without = reporter.rows
-        assert with_summary["convergence"] == {
-            "em.fit": {
-                "fits": 1,
-                "iterations": 2,
-                "rejections": 0,
-                "nonfinite": 0,
-                "nonconverged": 0,
-            }
-        }
-        assert "convergence" not in without
-
-    def test_manifest_join_keeps_the_summary(self):
+class TestTraceReporterRows:
+    def _spec(self):
         from repro.api.spec import ExperimentSpec
-        from repro.telemetry import build_manifest, validate_trace
-        from repro.telemetry.recorder import Recorder
 
-        spec = ExperimentSpec(
-            name="convergence-join",
+        return ExperimentSpec(
+            name="reporter-rows",
             task="repro.api.tasks:attack_point",
             params={
                 "dataset": {"kind": "synthetic", "spectrum": [50.0, 10.0]},
@@ -582,18 +541,45 @@ class TestTraceReporterConvergence:
             trials=2,
             seed=3,
         )
-        summary = {"kalman.filter": {"fits": 1, "iterations": 2}}
+
+    def test_row_holds_timing_and_provenance_only(self):
+        from repro.engine.jobs import JobResult
+        from repro.engine.progress import TraceReporter
+        from repro.telemetry import Recorder, trace
+
+        recorder = Recorder()
+        with trace.recording(recorder):
+            with trace.span("engine.job") as span:
+                span.set(convergence={"kernel": "em.fit", "iterations": 2})
+        fragment = recorder.export_fragment()
+        reporter = TraceReporter()
+        reporter.on_start(1)
+        reporter.on_result(
+            JobResult(key="a", values={}, duration=0.1, trace=fragment), 1, 1
+        )
+        assert reporter.rows == [
+            {"key": "a", "duration": 0.1, "cached": False, "order": 1}
+        ]
+
+    def test_manifest_join_copies_timing_columns_only(self):
+        from repro.telemetry import build_manifest, validate_trace
+        from repro.telemetry.recorder import Recorder
+
+        spec = self._spec()
         first, _ = spec.compile_jobs()
         rows = [
             {
                 "key": first.key(),
                 "duration": 0.5,
-                "cached": False,
-                "convergence": summary,
+                "cached": True,
+                "order": 1,
+                "convergence": {"kalman.filter": {"fits": 1}},
             }
         ]
         manifest = build_manifest(spec=spec, rows=rows)
         joined, unjoined = manifest["jobs"]
-        assert joined["convergence"] == summary
-        assert "convergence" not in unjoined
-        validate_trace(Recorder().to_document(manifest=manifest))
+        assert joined["duration"] == 0.5 and joined["cached"] is True
+        assert "convergence" not in joined
+        assert "duration" not in unjoined
+        document = Recorder().to_document(manifest=manifest)
+        validate_trace(document)

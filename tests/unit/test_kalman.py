@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from repro.data.timeseries import VectorAutoregressiveGenerator
 from repro.exceptions import ValidationError
@@ -10,6 +11,8 @@ from repro.randomization.additive import AdditiveNoiseScheme
 from repro.reconstruction.kalman import KalmanSmootherReconstructor
 from repro.reconstruction.ndr import NoiseDistributionReconstructor
 from repro.reconstruction.wiener import WienerSmootherReconstructor
+from repro.telemetry import trace
+from repro.telemetry.recorder import Recorder
 
 
 def _coupled_var_case(n=4000, sigma=2.0, seed=0):
@@ -124,3 +127,71 @@ class TestKalmanSmoother:
         series, disguised, _ = _coupled_var_case(n=100, seed=15)
         result = KalmanSmootherReconstructor().reconstruct(disguised)
         assert result.method == "Kalman"
+
+    def test_tracing_does_not_perturb_the_estimate(self):
+        rng = np.random.default_rng(3)
+        series = np.cumsum(rng.normal(size=(80, 2)), axis=0) * 0.1
+        disguised = AdditiveNoiseScheme(std=1.0).disguise(series, rng=4)
+        attack = KalmanSmootherReconstructor()
+        plain = attack.reconstruct(disguised).estimate
+        with trace.recording():
+            traced = attack.reconstruct(disguised).estimate
+        np.testing.assert_array_equal(plain, traced)
+
+    def test_traced_smoothing_opens_no_span_and_counts_each_inverse(self):
+        _, disguised, _ = _coupled_var_case(n=50, seed=21)
+        recorder = Recorder()
+        with trace.recording(recorder):
+            KalmanSmootherReconstructor().reconstruct(disguised)
+        # The caller's span times the attack; the smoother adds none.
+        assert recorder.roots == []
+        # One inverse to identify the transition, one per forward step,
+        # one per backward step.
+        assert recorder.counters["linalg.psd_inverse.calls"] == 1 + 50 + 49
+
+
+def _batch_posterior_mean(observations, transition, state_cov, noise_cov):
+    """E[x | y] for a stationary VAR(1) seen through additive noise,
+    solved as one dense Gaussian conditioning over all time steps."""
+    n, m = observations.shape
+    prior = np.empty((n * m, n * m))
+    power = [np.eye(m)]
+    for _ in range(n - 1):
+        power.append(transition @ power[-1])
+    for t in range(n):
+        for s in range(t + 1):
+            block = power[t - s] @ state_cov
+            prior[t * m:(t + 1) * m, s * m:(s + 1) * m] = block
+            prior[s * m:(s + 1) * m, t * m:(t + 1) * m] = block.T
+    observed = prior + np.kron(np.eye(n), noise_cov)
+    mean = prior @ np.linalg.solve(observed, observations.ravel())
+    return mean.reshape(n, m)
+
+
+class TestRtsRecursion:
+    @pytest.mark.parametrize(
+        "transition",
+        [
+            np.array([[0.6]]),
+            np.array([[0.85, 0.3], [0.0, 0.9]]),
+            np.array([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.1], [0.0, 0.3, 0.7]]),
+        ],
+        ids=["m1", "m2-coupled", "m3"],
+    )
+    def test_smoothed_means_equal_the_batch_posterior(self, transition):
+        # With the true model plugged in, the RTS means are the exact
+        # Gaussian posterior mean; the backward pass needs no smoothed
+        # covariance to reach it.
+        m = transition.shape[0]
+        process_cov = np.eye(m) + 0.2 * np.ones((m, m))
+        state_cov = solve_discrete_lyapunov(transition, process_cov)
+        noise_cov = 1.5 * np.eye(m)
+        rng = np.random.default_rng(m)
+        observations = rng.normal(size=(30, m)) * 2.0
+        smoothed = KalmanSmootherReconstructor._rts_smooth(
+            observations, transition, process_cov, state_cov, noise_cov
+        )
+        expected = _batch_posterior_mean(
+            observations, transition, state_cov, noise_cov
+        )
+        np.testing.assert_allclose(smoothed, expected, rtol=1e-8, atol=1e-10)

@@ -10,6 +10,8 @@ from repro.linalg.psd import (
     nearest_psd,
     psd_inverse,
 )
+from repro.telemetry import trace
+from repro.telemetry.recorder import Recorder
 
 
 def _indefinite_matrix():
@@ -92,6 +94,85 @@ class TestCholeskyWithJitter:
     def test_returns_lower_triangular(self):
         lower = cholesky_with_jitter(np.eye(3) * 2.0)
         assert np.allclose(lower, np.tril(lower))
+
+
+class TestCholeskyCounters:
+    def _traced(self, matrix, **kwargs):
+        recorder = Recorder()
+        with trace.recording(recorder):
+            factor = cholesky_with_jitter(matrix, **kwargs)
+        return factor, recorder.counters
+
+    def test_plain_factor_counts_one_call_and_no_retry(self):
+        _, counters = self._traced(np.eye(3))
+        assert counters["linalg.cholesky.calls"] == 1
+        assert "linalg.cholesky.retries" not in counters
+
+    def test_one_jitter_retry_is_counted(self):
+        # Rank one with a large initial jitter: the plain factorization
+        # fails and the first jittered attempt succeeds.
+        _, counters = self._traced(np.ones((4, 4)), initial_jitter=1e-6)
+        assert counters["linalg.cholesky.calls"] == 1
+        assert counters["linalg.cholesky.retries"] == 1
+
+    def test_exhausted_budget_counts_every_retry(self):
+        recorder = Recorder()
+        with trace.recording(recorder):
+            with pytest.raises(NotPositiveDefiniteError):
+                cholesky_with_jitter(_indefinite_matrix(), max_tries=3)
+        assert recorder.counters["linalg.cholesky.calls"] == 1
+        assert recorder.counters["linalg.cholesky.retries"] == 2
+
+    @pytest.mark.parametrize("dim", [1, 5, 20])
+    def test_positive_definite_input_needs_no_retry(self, dim):
+        rng = np.random.default_rng(dim)
+        base = rng.normal(size=(dim, dim))
+        factor, counters = self._traced(base @ base.T + dim * np.eye(dim))
+        assert counters == {"linalg.cholesky.calls": 1}
+        np.testing.assert_allclose(
+            factor @ factor.T, base @ base.T + dim * np.eye(dim)
+        )
+
+    def test_zero_matrix_falls_back_to_unit_scale(self):
+        # mean(diag) is 0, so the jitter is scaled by 1: the first
+        # jittered attempt factors 1e-12 * I.
+        factor, counters = self._traced(np.zeros((3, 3)))
+        assert counters["linalg.cholesky.retries"] == 1
+        np.testing.assert_allclose(factor, np.sqrt(1e-12) * np.eye(3))
+
+    def test_counters_accumulate_across_calls(self):
+        recorder = Recorder()
+        with trace.recording(recorder):
+            cholesky_with_jitter(np.eye(2))
+            cholesky_with_jitter(np.ones((4, 4)), initial_jitter=1e-6)
+            cholesky_with_jitter(np.zeros((2, 2)))
+        assert recorder.counters["linalg.cholesky.calls"] == 3
+        assert recorder.counters["linalg.cholesky.retries"] == 2
+
+    def test_single_try_budget_counts_the_call_and_no_retry(self):
+        recorder = Recorder()
+        with trace.recording(recorder):
+            with pytest.raises(NotPositiveDefiniteError):
+                cholesky_with_jitter(_indefinite_matrix(), max_tries=1)
+        assert recorder.counters == {"linalg.cholesky.calls": 1}
+
+    def test_opens_no_span_of_its_own(self):
+        recorder = Recorder()
+        with trace.recording(recorder):
+            with trace.span("caller"):
+                cholesky_with_jitter(np.ones((3, 3)))
+        (root,) = recorder.roots
+        assert root.name == "caller"
+        assert root.children == []
+        assert "convergence" not in root.attrs
+
+    def test_tracing_does_not_perturb_the_factor(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(6, 6))
+        nearly = base @ base.T - 1e-9 * np.eye(6)
+        plain = cholesky_with_jitter(nearly)
+        traced, _ = self._traced(nearly)
+        np.testing.assert_array_equal(plain, traced)
 
 
 class TestPsdInverse:

@@ -284,6 +284,35 @@ class TestSchema:
         assert len(warnings) == 1
         assert warnings[0].startswith("unknown-schema-version")
 
+    def test_without_a_sink_warnings_are_silent_but_valid(self):
+        document = _minimal_document()
+        document["schema"] = "repro-trace/v99"
+        validate_trace(document)  # must not raise
+
+    def test_older_payload_attrs_and_job_keys_still_load(self):
+        # Span attrs and manifest job rows are open dicts: a trace that
+        # carries the per-kernel payloads older builds attached still
+        # validates and renders.
+        document = _minimal_document()
+        document["spans"][0]["attrs"]["convergence"] = {
+            "kernel": "linalg.cholesky",
+            "iterations": 1,
+            "delta": [0.0],
+        }
+        document["manifest"] = {
+            "kind": MANIFEST_KIND,
+            "jobs": [
+                {
+                    "key": "job-0",
+                    "duration": 0.1,
+                    "cached": False,
+                    "convergence": {"linalg.cholesky": {"fits": 1}},
+                }
+            ],
+        }
+        validate_trace(document)
+        assert document["spans"][0]["name"] in render_trace(document)
+
     def test_rejects_missing_top_level_key(self):
         document = _minimal_document()
         del document["counters"]
@@ -562,7 +591,7 @@ class TestOverheadBudget:
     def test_disabled_hook_within_two_percent_of_kalman_smooth(self):
         """The <2% ceiling, with ~2 orders of magnitude margin.
 
-        A Kalman smooth contains exactly one span hook, so "overhead
+        A Kalman smooth runs under one attack span hook, so "overhead
         under 2%" means per-hook cost < 2% of the smooth's runtime.  The
         hook is ~200ns and the smooth milliseconds, so this only fails
         if the disabled path regresses catastrophically (e.g. starts
@@ -584,34 +613,9 @@ class TestOverheadBudget:
         spans = {id(trace.span("a")) for _ in range(32)}
         assert len(spans) == 1  # always the shared NULL_SPAN singleton
 
-    def test_disabled_tracker_hook_within_two_percent_of_kalman_smooth(
-        self,
-    ):
-        """The convergence layer's share of the <2% disabled budget.
-
-        Every instrumented kernel iteration pays one ``enabled`` probe
-        and (when the guard is mis-skipped) one no-op ``record()``;
-        both together must stay far inside 2% of a Kalman smooth's
-        runtime.
-        """
-        assert not trace.enabled()
-        tracker = trace.iterations("noop")
-        smooth_seconds = _kalman_smooth_seconds()
-
-        calls = 10_000
-        started = time.perf_counter()
-        for _ in range(calls):
-            if tracker.enabled:
-                tracker.record(objective=1.0, delta=0.1)
-        per_call = (time.perf_counter() - started) / calls
-
-        # The filter records once per time step, so all 100 hooks
-        # must fit inside the 2% ceiling.
-        assert per_call * 100 < 0.02 * smooth_seconds
-
 
 # ----------------------------------------------------------------------
-# Sparklines and the viewer's convergence section
+# Sparklines
 
 
 class TestSparkline:
@@ -635,82 +639,3 @@ class TestSparkline:
         line = sparkline([1.0, float("nan"), 2.0])
         assert line[1] == "!"
         assert sparkline([float("nan"), float("inf")]) == "!!"
-
-
-class TestViewerConvergence:
-    def _document_with_payload(self, **overrides):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with trace.span("em.fit"):
-                tracker = trace.iterations("em.fit")
-                tracker.record(objective=-3.0, delta=1.0)
-                tracker.record(objective=-2.0, delta=0.5)
-                tracker.finish(converged=True)
-        document = recorder.to_document()
-        document["spans"][0]["attrs"]["convergence"].update(overrides)
-        return document
-
-    def test_section_renders_per_kernel_rows(self):
-        text = render_trace(self._document_with_payload())
-        assert "convergence:" in text
-        assert "em.fit" in text
-        assert "1/1" in text  # converged tally
-        assert "-2" in text  # final objective
-
-    def test_pre_convergence_trace_has_no_section(self):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with trace.span("engine.run"):
-                pass
-        text = render_trace(recorder.to_document())
-        assert "convergence:" not in text
-
-    def test_zero_iteration_payload_renders(self):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with trace.span("kernel.fit"):
-                trace.iterations("cold.start").finish()
-        text = render_trace(recorder.to_document())
-        assert "convergence:" in text
-        assert "cold.start" in text
-        assert "0/0" in text  # iter med/max for the empty fit
-
-    def test_single_iteration_fit_renders(self):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with trace.span("kernel.fit"):
-                tracker = trace.iterations("one.shot")
-                tracker.record(objective=1.5)
-                tracker.finish(converged=True)
-        text = render_trace(recorder.to_document())
-        assert "one.shot" in text
-        assert "1/1" in text
-
-    def test_nan_objective_survives_the_json_round_trip(self):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with trace.span("kernel.fit"):
-                tracker = trace.iterations("sick.fit")
-                tracker.record(objective=float("nan"))
-                tracker.finish(converged=False)
-        document = json.loads(
-            json.dumps(recorder.to_document(), allow_nan=False)
-        )
-        text = render_trace(document)
-        assert "sick.fit" in text
-        assert "nan" in text
-        assert "!" in text  # non-finite trajectory glyph
-
-    def test_condition_only_payload_gets_a_trajectory(self):
-        recorder = Recorder()
-        with trace.recording(recorder):
-            with trace.span("kernel.fit"):
-                tracker = trace.iterations("linalg.cholesky")
-                tracker.record(condition=10.0)
-                tracker.record(condition=100.0)
-                tracker.finish(converged=True)
-        text = render_trace(recorder.to_document())
-        row = [
-            line for line in text.splitlines() if "linalg.cholesky" in line
-        ][0]
-        assert not row.rstrip().endswith("-")

@@ -3,7 +3,7 @@
 Diff alignment is the load-bearing property: spans must pair up by
 cache key across runs regardless of sibling order, deltas must
 attribute to self-time, manifest provenance changes must surface field
-by field, and convergence payloads diff per kernel.
+by field.
 """
 
 from __future__ import annotations
@@ -160,88 +160,3 @@ class TestRenderDiff:
         payload = _run({"a": 0.1})
         text = render_diff(diff_traces(payload, payload))
         assert "(no differences)" in text
-
-
-# ----------------------------------------------------------------------
-# Convergence trajectory diffing
-
-
-def _fit_trace(kernel="em.fit", iterations=9, final=-1.75, *,
-               converged=True, objective=None):
-    payload = {
-        "schema": "repro-convergence/v1",
-        "kernel": kernel,
-        "iterations": iterations,
-        "rejections": 0,
-        "nonfinite": 0,
-        "converged": converged,
-        "final_objective": final,
-    }
-    if objective is not None:
-        payload["objective"] = objective
-    root = _span(kernel, 0.2, convergence=payload)
-    return _trace([root])
-
-
-class TestDiffConvergence:
-    def test_identical_runs_produce_zero_delta_rows(self):
-        diff = diff_traces(_fit_trace(), _fit_trace())
-        (row,) = diff["convergence"]
-        assert row["delta_iterations"] == 0
-        assert row["delta_final_objective"] == 0.0
-        assert not row["diverged"]
-        assert not row["nonfinite_introduced"]
-        # Zero-delta rows stay out of the rendered report.
-        assert "convergence deltas:" not in render_diff(diff)
-
-    def test_injected_nonconvergence_is_flagged(self):
-        healthy = _fit_trace(iterations=9, final=-1.75, converged=True)
-        sick = _fit_trace(iterations=3, final=-2.2, converged=False)
-        diff = diff_traces(healthy, sick)
-        (row,) = diff["convergence"]
-        assert row["delta_iterations"] == -6
-        assert row["delta_final_objective"] == pytest.approx(-0.45)
-        assert row["diverged"]
-        report = render_diff(diff)
-        assert "convergence deltas:" in report
-        assert "[diverged]" in report
-
-    def test_one_sided_payload_diffs_against_zero(self):
-        plain = _trace([_span("em.fit", 0.2)])
-        traced = _fit_trace(iterations=9)
-        diff = diff_traces(plain, traced)
-        (row,) = diff["convergence"]
-        assert row["a_iterations"] == 0
-        assert row["b_iterations"] == 9
-        assert row["a_final_objective"] is None
-        assert row["delta_final_objective"] is None
-
-    def test_nan_final_objective_is_incomparable_but_flagged(self):
-        healthy = _fit_trace()
-        sick = _fit_trace(final="__nan__", converged=True)
-        sick["spans"][0]["attrs"]["convergence"]["nonfinite"] = 1
-        diff = diff_traces(healthy, sick)
-        (row,) = diff["convergence"]
-        assert row["delta_final_objective"] is None
-        assert row["nonfinite_introduced"]
-        assert "[nonfinite]" in render_diff(diff)
-
-    def test_pre_convergence_traces_diff_cleanly(self):
-        plain = _trace([_span("engine.run", 0.1)])
-        diff = diff_traces(plain, plain)
-        assert diff["convergence"] == []
-
-    def test_render_tolerates_diffs_without_the_key(self):
-        # A diff payload produced by an older build has no
-        # "convergence" entry; rendering must not KeyError.
-        diff = diff_traces(_fit_trace(), _fit_trace())
-        del diff["convergence"]
-        assert "differences" in render_diff(diff) or render_diff(diff)
-
-    def test_zero_iteration_fits_align(self):
-        cold = _fit_trace(iterations=0, final=None, converged=False)
-        warm = _fit_trace(iterations=0, final=None, converged=False)
-        diff = diff_traces(cold, warm)
-        (row,) = diff["convergence"]
-        assert row["delta_iterations"] == 0
-        assert not row["diverged"]  # present on both sides

@@ -51,13 +51,8 @@ class TestRenderWatch:
         text = _text(
             _metrics(gauges=_progress(8, 2), ts=1000.0),
             _metrics(
-                counters={"kernel.em.fit.fits": 4},
-                gauges={
-                    **_progress(8, 4, cached=1),
-                    "kernel.em.fit.iterations": 9.0,
-                    "kernel.em.fit.objective": -1.75,
-                    "kernel.em.fit.converged": 1.0,
-                },
+                counters={"linalg.cholesky.calls": 4},
+                gauges=_progress(8, 4, cached=1),
                 ts=1001.0,
             ),
         )
@@ -70,8 +65,6 @@ class TestRenderWatch:
         assert "4/8 jobs (50%, 1 cached)" in first
         assert "2.0 jobs/s" in first
         assert "eta 2.00s" in first
-        assert "em.fit" in first
-        assert "ok" in first
         assert "run complete" not in first
 
     def test_header_only_stream_renders_a_placeholder(self):
@@ -182,45 +175,6 @@ class TestRenderWatch:
         assert "peak 20.0MiB" in frame
         assert "peak 10.0MiB" not in frame
 
-    @pytest.mark.parametrize(
-        "gauges,counters,state",
-        [
-            ({"kernel.k.converged": 1.0}, {}, "ok"),
-            ({"kernel.k.converged": 0.0}, {}, "fitting"),
-            ({}, {"kernel.k.nonconverged": 1}, "DIVERGED"),
-            ({}, {"kernel.k.nonfinite": 2}, "NONFINITE"),
-        ],
-    )
-    def test_kernel_state_logic(self, gauges, counters, state):
-        counters = {"kernel.k.fits": 1, **counters}
-        frame = _render(_metrics(counters=counters, gauges=gauges))
-        assert state in frame
-
-    def test_nonfinite_outranks_nonconverged(self):
-        frame = _render(
-            _metrics(
-                counters={
-                    "kernel.k.nonfinite": 1,
-                    "kernel.k.nonconverged": 1,
-                }
-            )
-        )
-        assert "NONFINITE" in frame
-        assert "DIVERGED" not in frame
-
-    def test_objective_trend_spans_the_metrics_lines(self):
-        lines = [
-            _metrics(
-                counters={"kernel.k.fits": 1},
-                gauges={"kernel.k.objective": float(value)},
-                ts=1000.0 + value,
-            )
-            for value in range(5)
-        ]
-        frame = _render(*lines, now=1005.0)
-        [row] = [line for line in frame.splitlines() if "  k  " in line]
-        assert row.rstrip().endswith(" :=*%")  # rising objective
-
     def test_non_stream_argument_raises(self):
         with pytest.raises(ValidationError, match="TraceStream"):
             render_watch({"schema": TRACE_SCHEMA})
@@ -266,31 +220,3 @@ class TestWatchLoop:
     def test_invalid_interval_raises(self, tmp_path):
         with pytest.raises(ValidationError, match="interval"):
             watch_loop(tmp_path / "t.jsonl", io.StringIO(), interval=0)
-
-
-def test_traced_kalman_run_has_a_kernel_trend(tmp_path):
-    """Kalman records delta and condition but no objective: the value
-    column and trend fall back to delta.  Two fits, a ``metrics`` line
-    after each, draw a two-point trend."""
-    import numpy as np
-
-    from repro.randomization.additive import AdditiveNoiseScheme
-    from repro.reconstruction.kalman import KalmanSmootherReconstructor
-    from repro.telemetry import traced_run
-
-    def series(seed):
-        rng = np.random.default_rng(seed)
-        walk = np.cumsum(rng.normal(size=(60, 2)), axis=0) * 0.1
-        return AdditiveNoiseScheme(std=1.0).disguise(walk, rng=seed + 1)
-
-    path = tmp_path / "kalman.jsonl"
-    with traced_run(path) as recorder:
-        KalmanSmootherReconstructor().reconstruct(series(3))
-        recorder.write_metrics()
-        KalmanSmootherReconstructor().reconstruct(series(5))
-    frame = render_watch(fold_trace(path.read_text()), now=0.0)
-    [row] = [line for line in frame.splitlines() if "kalman.filter" in line]
-    kernel, fits, _, _, value, state, trend = row.split()
-    assert (kernel, fits, state) == ("kalman.filter", "2", "ok")
-    assert float(value) > 0.0  # the last delta
-    assert trend.strip()
