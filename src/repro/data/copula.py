@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from repro.data.covariance_builder import CovarianceModel
 from repro.exceptions import ValidationError
@@ -174,6 +173,8 @@ class GaussianCopulaGenerator:
         latent = self._latent.sample(n, generator)
         if self._marginal == "normal":
             return latent * self._target_std
+        from scipy.special import ndtr
+
         uniforms = ndtr(latent)
         # Clip away exact 0/1 from floating point so inverse CDFs stay
         # finite.
@@ -187,6 +188,8 @@ class GaussianCopulaGenerator:
         if self._marginal == "uniform":
             return u
         if self._marginal == "lognormal":
+            from scipy.special import ndtri
+
             return np.exp(_LOGNORMAL_SHAPE * ndtri(u))
         # bimodal: numeric inverse of the mixture CDF on a fine grid.
         grid, cdf = _bimodal_cdf_grid()
@@ -214,6 +217,8 @@ class GaussianCopulaGenerator:
 
 def _bimodal_cdf_grid(n_points: int = 4001) -> tuple[np.ndarray, np.ndarray]:
     """Grid and CDF of the balanced two-mode Gaussian mixture."""
+    from scipy.special import ndtr
+
     span = _BIMODAL_DELTA + 6.0 * _BIMODAL_STD
     grid = np.linspace(-span, span, n_points)
     cdf = 0.5 * ndtr((grid + _BIMODAL_DELTA) / _BIMODAL_STD) + 0.5 * ndtr(

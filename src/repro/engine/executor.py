@@ -30,7 +30,13 @@ from concurrent.futures import as_completed
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from repro.engine.jobs import JobResult, JobSpec, execute_job, failed_result
+from repro.engine.jobs import (
+    JobResult,
+    JobSpec,
+    execute_job,
+    failed_result,
+    resolve_task,
+)
 from repro.exceptions import ValidationError
 from repro.telemetry import trace
 from repro.telemetry.recorder import Recorder
@@ -93,6 +99,24 @@ def default_worker_count() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # non-Linux platforms
         return max(1, os.cpu_count() or 1)
+
+
+def _import_tasks(specs: Sequence[JobSpec]) -> None:
+    """Import what the pool's jobs run, once, before the workers fork.
+
+    A forked worker inherits the parent's modules, so resolving each
+    distinct task here (and loading ``numpy.random``, which
+    :func:`~repro.engine.jobs.derive_rng` needs) spares every worker of
+    every pool importing them itself.  A task that cannot be resolved is
+    left to the job path, which reports it as it always has.
+    """
+    import numpy.random  # noqa: F401
+
+    for task in dict.fromkeys(spec.task for spec in specs):
+        try:
+            resolve_task(task)
+        except Exception:  # the job path reports it, in its own way
+            pass
 
 
 def _announce_workers(pool: _ProcessPool) -> None:
@@ -178,6 +202,7 @@ class Executor:
         chunk_results: list[list[JobResult] | None] = [None] * len(chunks)
         first_error: Exception | None = None
         traced = trace.enabled()
+        _import_tasks(specs)
         with _ProcessPool(max_workers=min(self.workers, len(chunks))) as pool:
             futures = {
                 pool.submit(

@@ -36,7 +36,6 @@ __all__ = [
     "gauge",
     "adopt",
     "heartbeat",
-    "current_span",
 ]
 
 #: The process-wide active recorder; ``None`` disables all tracing.
@@ -174,12 +173,3 @@ def heartbeat() -> None:
     recorder = _ACTIVE
     if recorder is not None:
         recorder.heartbeat()
-
-
-def current_span() -> Span | None:
-    """The innermost open span on this thread, or ``None``."""
-    recorder = _ACTIVE
-    if recorder is None:
-        return None
-    return recorder.current_span()
-

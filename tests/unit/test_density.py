@@ -1,5 +1,7 @@
 """Unit tests for repro.stats.density."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.stats.density import (
     GaussianDensity,
     HistogramDensity,
     UniformDensity,
+    _gaussian_halfwidth,
 )
 
 
@@ -38,6 +41,21 @@ class TestGaussianDensity:
         lo, hi = density.support(0.999)
         samples = density.sample(2000, rng=0)
         assert np.mean((samples >= lo) & (samples <= hi)) > 0.99
+
+    @pytest.mark.parametrize(
+        "coverage, quantile",
+        [(0.9, 1.6448536269514722), (0.95, 1.959963984540054),
+         (0.9999, 3.890591886413125)],
+    )
+    def test_halfwidth_is_the_two_sided_normal_quantile(self, coverage, quantile):
+        halfwidth = _gaussian_halfwidth(coverage)
+        assert halfwidth == pytest.approx(quantile, rel=1e-12)
+        assert halfwidth == pytest.approx(
+            statistics.NormalDist().inv_cdf((1.0 + coverage) / 2.0), rel=5e-12
+        )
+        assert GaussianDensity(1.0, 2.0).support(coverage) == pytest.approx(
+            (1.0 - 2.0 * halfwidth, 1.0 + 2.0 * halfwidth)
+        )
 
     def test_sample_moments(self):
         samples = GaussianDensity(3.0, 2.0).sample(50000, rng=1)

@@ -353,6 +353,27 @@ class TestRealPool:
         assert "cannot resolve task" in results[3].error["message"]
 
 
+    # The pool imports each task before it forks and swallows failures
+    # there; an unresolvable task must still fail on the job path.
+    @pytest.mark.parametrize(
+        "task", [f"{_HERE}:no_such_task", "repro.no_such_module:task"]
+    )
+    def test_unresolvable_task_raises_from_the_pool(self, task):
+        specs = _specs(3) + [JobSpec(task, {"x": 3}, seed_root=5)]
+        with pytest.raises(ValidationError, match="cannot resolve task"):
+            Executor(workers=2).run(specs)
+
+    def test_unimportable_task_module_drains_to_failed_result(self):
+        specs = _specs(3) + [
+            JobSpec("repro.no_such_module:task", {"x": 3}, seed_root=5)
+        ]
+        results = Executor(workers=2).run(specs, fail_fast=False)
+        assert [r.failed for r in results] == [False, False, False, True]
+        assert [r.values["square"] for r in results[:3]] == [0, 1, 4]
+        assert results[3].error["type"] == "ValidationError"
+        assert "cannot resolve task" in results[3].error["message"]
+
+
 class TestJobSpans:
     def _jobs(self, executor, specs, fail_fast=True):
         from repro.telemetry import Recorder, trace

@@ -191,7 +191,6 @@ class TestTraceFacade:
     def test_disabled_by_default(self):
         assert not trace.enabled()
         assert trace.active_recorder() is None
-        assert trace.current_span() is None
         # No-ops must not raise.
         trace.count("x")
         trace.gauge("y", 1.0)
