@@ -181,15 +181,11 @@ class WallClockRule(Rule):
         "makes every run a cache miss (or, worse, lets two different "
         "computations collide).  Timing belongs in the telemetry layer "
         "(repro.telemetry spans), not in the kernels it observes.  The "
-        "run-health layer (resource sampler, watch dashboard, trace "
-        "diff) is held to the same bar for a different reason: its "
-        "clock reads must all flow through the sanctioned "
-        "repro.telemetry._clock shims so the full set of timestamp "
-        "sources stays auditable in one module."
+        "trace diff is held to the same bar: it is a pure function of "
+        "the two traces it compares."
     )
     hint = (
-        "Move timing to repro.telemetry spans around the call site, use "
-        "the repro.telemetry._clock shims in run-health modules, or "
+        "Move timing to repro.telemetry spans around the call site, or "
         "suppress with a justification when the value measures duration "
         "and provably never reaches a payload or cache key."
     )
@@ -202,12 +198,7 @@ class WallClockRule(Rule):
         "repro.mining",
         "repro.engine.jobs",
         "repro.engine.cache",
-        # Run-health modules: clock reads only through the sanctioned
-        # repro.telemetry._clock shims (which are themselves out of
-        # scope — they are the one audited touch point).
-        "repro.telemetry.sampler",
         "repro.telemetry.diff",
-        "repro.telemetry.watch",
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:

@@ -9,8 +9,6 @@ Usage (after ``pip install -e .``)::
     repro trace t.jsonl               # render a recorded trace stream
     repro trace t.jsonl --validate    # check it against repro-trace/v2
     repro trace diff a.jsonl b.jsonl  # span-aligned cross-run deltas
-    repro watch t.jsonl               # live dashboard tailing the stream
-    repro watch t.jsonl --once        # one deterministic frame (CI logs)
     repro check src/ --fix-hints      # determinism/parallel-safety lints
     repro check --list-rules          # the registered rule catalog
     repro list schemes                # registered randomization schemes
@@ -65,7 +63,6 @@ from repro.telemetry import (
     render_trace,
     traced_run,
     validate_trace,
-    watch_loop,
 )
 
 __all__ = ["main", "build_parser"]
@@ -92,19 +89,22 @@ _REGISTRIES = {
 }
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 0 (0 = autodetect), got {value}"
-        )
+            f"must be an integer, got {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _add_engine_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs",
-        type=_worker_count,
+        type=_non_negative,
         default=1,
         help=(
             "worker processes (1 = in-process serial, 0 = autodetect "
@@ -130,9 +130,8 @@ def _add_engine_arguments(sub: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help=(
             "stream the run to PATH as it goes, as repro-trace/v2 JSONL "
-            "(spans, counters and gauges, resource samples, run "
-            "manifest); follow it live with 'repro watch PATH', view "
-            "it with 'repro trace PATH'"
+            "(spans, counters and gauges, peak RSS and CPU, run "
+            "manifest); view it with 'repro trace PATH'"
         ),
     )
 
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--top",
-        type=int,
+        type=_non_negative,
         default=10,
         metavar="N",
         help=(
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--depth",
-        type=int,
+        type=_non_negative,
         default=None,
         metavar="D",
         help="limit the span tree to D levels (default: unlimited)",
@@ -307,31 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the stream against the schema and exit (no render)",
     )
 
-    sub = subparsers.add_parser(
-        "watch",
-        help="live terminal dashboard over a trace stream",
-        description=(
-            "Tail the repro-trace/v2 stream a running sweep writes "
-            "with --trace and redraw a dashboard each interval: "
-            "progress bar with rate and ETA, and parent/worker RSS.  "
-            "Works equally on a finished stream "
-            "(the final state renders, marked 'run complete'); --once "
-            "prints a single frame and exits, for CI logs."
-        ),
-    )
-    sub.add_argument("file", help="path to the trace stream")
-    sub.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds between redraws (default 1.0)",
-    )
-    sub.add_argument(
-        "--once",
-        action="store_true",
-        help="render one frame and exit instead of looping",
-    )
     return parser
 
 
@@ -355,7 +329,7 @@ def _execute_spec(spec, args):
     """Run a spec through the engine, honoring ``--trace`` when given.
 
     With ``--trace PATH`` the whole run — engine, pipeline, and kernel
-    spans, counters, heartbeat and resource gauges — streams to PATH
+    spans, counters, gauges, peak RSS and CPU — streams to PATH
     as it goes (:func:`~repro.telemetry.stream.traced_run`), ending
     with a manifest that joins the spec's seed lineage with the
     per-job timings collected by a
@@ -503,22 +477,6 @@ def _view_trace(args) -> int:
     return 0
 
 
-def _run_watch(args) -> int:
-    """Tail a trace stream (the ``watch`` subcommand)."""
-    try:
-        return watch_loop(
-            args.file,
-            sys.stdout,
-            interval=args.interval,
-            once=args.once,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        return 0
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -532,16 +490,18 @@ def main(argv=None) -> int:
         return _run_check(args)
     if args.experiment == "trace":
         return _view_trace(args)
-    if args.experiment == "watch":
-        return _run_watch(args)
 
     if args.experiment in _FIGURES:
-        config = SweepConfig(
-            n_records=args.records,
-            noise_std=args.noise_std,
-            n_trials=args.trials,
-            seed=args.seed,
-        )
+        try:
+            config = SweepConfig(
+                n_records=args.records,
+                noise_std=args.noise_std,
+                n_trials=args.trials,
+                seed=args.seed,
+            )
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         spec = builtin_spec(args.experiment, config)
     else:
         spec = builtin_spec(args.experiment)

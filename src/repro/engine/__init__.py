@@ -114,22 +114,12 @@ class Engine:
             jobs=total,
             workers=self.executor.workers,
         ) as run_span:
-            # Heartbeat gauges: the live progress surface the trace
-            # stream's metrics lines carry and ``repro watch`` derives
-            # rate/ETA from.  Each job completion below ends with one
-            # trace.heartbeat(), which lets a streaming recorder write
-            # a metrics line (at most once a second).
-            trace.gauge("engine.jobs.total", float(total))
-            trace.gauge("engine.jobs.completed", 0.0)
-            trace.gauge("engine.jobs.cached", 0.0)
             for index, spec in enumerate(specs):
                 hit = self.cache.get(spec) if self.cache is not None else None
                 if hit is not None:
                     results[index] = hit
                     completed += 1
                     cached += 1
-                    trace.gauge("engine.jobs.completed", float(completed))
-                    trace.gauge("engine.jobs.cached", float(cached))
                     if trace.enabled():
                         # A zero-length span keeps per-job provenance
                         # uniform: cache hits appear in the trace with
@@ -143,7 +133,6 @@ class Engine:
                             original_duration=hit.duration,
                         ):
                             pass
-                    trace.heartbeat()
                     self.progress.on_result(hit, completed, total)
                 else:
                     pending.append((index, spec))
@@ -155,7 +144,6 @@ class Engine:
                 def on_done(result: JobResult) -> None:
                     nonlocal completed
                     completed += 1
-                    trace.gauge("engine.jobs.completed", float(completed))
                     # Persist immediately so a later job failure (or an
                     # interrupt) does not discard work already finished.
                     # Failed results (fail_fast=False drains) carry no
@@ -165,7 +153,6 @@ class Engine:
                     # Spans recorded inside a worker process ride back
                     # on the result; graft them under this run's span.
                     trace.adopt(result.trace)
-                    trace.heartbeat()
                     self.progress.on_result(result, completed, total)
 
                 fresh = self.executor.run(

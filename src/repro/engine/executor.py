@@ -119,23 +119,6 @@ def _import_tasks(specs: Sequence[JobSpec]) -> None:
             pass
 
 
-def _announce_workers(pool: _ProcessPool) -> None:
-    """Tell the resource sampler which PIDs are engine workers.
-
-    Called once the first chunks are submitted (the pool spawns its
-    processes lazily).  Announcing is unconditional and nearly free;
-    when no sampler is running the registry is simply never read.
-    """
-    from repro.telemetry.sampler import announce_workers
-
-    processes = getattr(pool, "_processes", None) or {}
-    pids = [
-        process.pid for process in processes.values() if process.pid is not None
-    ]
-    if pids:
-        announce_workers(pids)
-
-
 class Executor:
     """Executes job specs, preserving input order in the results.
 
@@ -210,7 +193,6 @@ class Executor:
                 ): index
                 for index, batch in enumerate(chunks)
             }
-            _announce_workers(pool)
             # Harvest in completion order so every finished chunk
             # reaches the callback (and thus the cache) even when
             # another chunk fails; the failure is re-raised only after

@@ -8,7 +8,7 @@ provides
   (:mod:`~repro.telemetry.spans`), recorded through the
   :mod:`~repro.telemetry.trace` facade — a no-op fast path when no
   recorder is active, so hot kernels stay permanently instrumented;
-* **counters and gauges** (cache hits, jobs dispatched) on the same
+* **counters and gauges** (cache hits, PSD repairs) on the same
   thread-safe :class:`~repro.telemetry.recorder.Recorder`, which
   serializes everything to a versioned ``repro-trace/v2`` document
   (:mod:`~repro.telemetry.schema`), merges fragments shipped back from
@@ -20,10 +20,10 @@ provides
   lineage, git revision, platform, package versions, per-job timings;
 * an ASCII **viewer** (:mod:`~repro.telemetry.viewer`) behind
   ``repro trace <file>``;
-* a **run-health layer**: ``/proc``-based worker resource sampling
-  (:mod:`~repro.telemetry.sampler`), the live ``repro watch`` dashboard
-  tailing a stream (:mod:`~repro.telemetry.watch`), and cross-run
-  trace diffing (:mod:`~repro.telemetry.diff`).
+* **peak RSS and CPU** of the run and of its reaped pool workers,
+  read once from ``getrusage`` when a traced run ends
+  (:func:`~repro.telemetry.stream.traced_run`);
+* cross-run trace diffing (:mod:`~repro.telemetry.diff`).
 
 Typical use::
 
@@ -54,7 +54,6 @@ from repro.telemetry.manifest import (
     spec_fingerprint,
 )
 from repro.telemetry.recorder import Recorder
-from repro.telemetry.sampler import ResourceSampler, sampling_supported
 from repro.telemetry.schema import TRACE_SCHEMA, validate_trace
 from repro.telemetry.spans import Span
 from repro.telemetry.stream import (
@@ -63,13 +62,11 @@ from repro.telemetry.stream import (
     read_trace,
     traced_run,
 )
-from repro.telemetry.viewer import format_seconds, render_trace, sparkline
-from repro.telemetry.watch import render_watch, watch_loop
+from repro.telemetry.viewer import format_seconds, render_trace
 
 __all__ = [
     "MANIFEST_KIND",
     "Recorder",
-    "ResourceSampler",
     "Span",
     "TRACE_SCHEMA",
     "TraceStream",
@@ -83,12 +80,8 @@ __all__ = [
     "read_trace",
     "render_diff",
     "render_trace",
-    "render_watch",
-    "sampling_supported",
-    "sparkline",
     "spec_fingerprint",
     "trace",
     "traced_run",
     "validate_trace",
-    "watch_loop",
 ]

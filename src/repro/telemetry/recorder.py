@@ -21,10 +21,9 @@ tagged with a ``kind``):
     by id restores their start order.  An adopted worker fragment is
     written, span by span, when it is adopted.
 ``metrics``
-    ``ts_unix`` plus every counter and gauge.  Written by
-    :meth:`Recorder.heartbeat` — which the engine calls once per job
-    completion — at most once per :data:`METRICS_INTERVAL` seconds,
-    and once more on :meth:`Recorder.close`.
+    ``ts_unix`` plus every counter and gauge.  Written once, by
+    :meth:`Recorder.close`, also when the run raised.  Streams written
+    by older builds may hold several; a reader takes the last.
 ``end``
     Last line of a run that finished: ``ts_unix`` and the run
     ``manifest``.
@@ -40,19 +39,15 @@ import itertools
 import json
 import os
 import threading
+import time
 from typing import Any, TextIO
 
 from repro.exceptions import ValidationError
-from repro.telemetry._clock import mono_now, wall_now
 from repro.telemetry.schema import TRACE_SCHEMA
 from repro.telemetry.spans import Span
 from repro.utils.serialization import sanitize_for_json
 
-__all__ = ["METRICS_INTERVAL", "Recorder"]
-
-#: Minimum seconds between two ``metrics`` lines written by
-#: :meth:`Recorder.heartbeat`.
-METRICS_INTERVAL = 1.0
+__all__ = ["Recorder"]
 
 
 class Recorder:
@@ -83,14 +78,13 @@ class Recorder:
         # Stream ids of the spans still open (only used when streaming).
         self._ids: dict[Span, int] = {}
         self._next_id = itertools.count()
-        self._last_metrics = float("-inf")
         if path is not None:
             self._stream = open(path, "w", buffering=1, encoding="utf-8")
             self._write(
                 {
                     "kind": "header",
                     "schema": TRACE_SCHEMA,
-                    "created_unix": wall_now(),
+                    "created_unix": time.time(),
                 }
             )
 
@@ -150,8 +144,8 @@ class Recorder:
         fragment's span tree becomes a child of the calling thread's
         current span (or a new root), its counters merge additively
         into this recorder's, and its gauges merge last-value-wins —
-        so a worker's counters and gauges reach the next ``metrics``
-        line as each job completes.
+        so a worker's counters and gauges reach the run's ``metrics``
+        line.
         """
         if not isinstance(fragment, dict):
             raise ValidationError(
@@ -218,8 +212,13 @@ class Recorder:
         for child in span.children:
             self._write_tree(child, span_id)
 
-    def write_metrics(self) -> None:
-        """Stream one ``metrics`` line now (no-op when not streaming)."""
+    def close(
+        self, manifest: dict[str, Any] | None = None, *, complete: bool = True
+    ) -> None:
+        """Finish the stream: the ``metrics`` line, then the ``end``
+        line carrying ``manifest`` unless ``complete`` is false (a run
+        that failed leaves no ``end`` line).  Idempotent; a no-op for
+        an in-memory recorder."""
         if self._stream is None:
             return
         with self._lock:
@@ -228,38 +227,16 @@ class Recorder:
         self._write(
             {
                 "kind": "metrics",
-                "ts_unix": wall_now(),
+                "ts_unix": time.time(),
                 "counters": counters,
                 "gauges": gauges,
             }
         )
-
-    def heartbeat(self) -> None:
-        """Stream a ``metrics`` line unless one went out within
-        :data:`METRICS_INTERVAL` seconds (no-op when not streaming)."""
-        if self._stream is None:
-            return
-        now = mono_now()
-        if now - self._last_metrics < METRICS_INTERVAL:
-            return
-        self._last_metrics = now
-        self.write_metrics()
-
-    def close(
-        self, manifest: dict[str, Any] | None = None, *, complete: bool = True
-    ) -> None:
-        """Finish the stream: a last ``metrics`` line, then the ``end``
-        line carrying ``manifest`` unless ``complete`` is false (a run
-        that failed leaves no ``end`` line).  Idempotent; a no-op for
-        an in-memory recorder."""
-        if self._stream is None:
-            return
-        self.write_metrics()
         if complete:
             self._write(
                 {
                     "kind": "end",
-                    "ts_unix": wall_now(),
+                    "ts_unix": time.time(),
                     "manifest": sanitize_for_json(manifest),
                 }
             )
@@ -308,7 +285,7 @@ class Recorder:
             gauges = dict(self.gauges)
         return {
             "schema": TRACE_SCHEMA,
-            "created_unix": wall_now(),
+            "created_unix": time.time(),
             "spans": spans,
             "counters": counters,
             "gauges": gauges,

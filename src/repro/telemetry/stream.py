@@ -7,8 +7,8 @@ described in :mod:`repro.telemetry.recorder`); this module holds the
 two ends around that:
 
 * :func:`traced_run` — the harness the CLI opens around a traced run
-  (``--trace PATH``): a streaming recorder, activated, with a
-  :class:`~repro.telemetry.sampler.ResourceSampler` feeding it;
+  (``--trace PATH``): a streaming recorder, activated, that publishes
+  the run's peak RSS and CPU from ``getrusage`` when it ends;
 * :func:`fold_trace` / :func:`read_trace` — fold the lines (any prefix
   of them: a stream still being written, or cut mid-line) into the
   document :meth:`~repro.telemetry.recorder.Recorder.to_document`
@@ -22,14 +22,19 @@ import contextlib
 import json
 import os
 import pathlib
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.exceptions import ValidationError
 from repro.telemetry import trace
 from repro.telemetry.recorder import Recorder
-from repro.telemetry.sampler import ResourceSampler
 from repro.telemetry.schema import TRACE_SCHEMA
+
+try:
+    import resource
+except ImportError:  # Windows: no getrusage, so no resource.* gauges
+    resource = None  # type: ignore[assignment]
 
 __all__ = ["TraceStream", "fold_trace", "read_trace", "traced_run"]
 
@@ -43,20 +48,14 @@ class TraceStream:
     document:
         The trace document; ``schema`` and ``created_unix`` are ``None``
         until the header line has been read.  Spans whose parent has
-        not closed yet are promoted to roots.
-    metrics:
-        Every ``metrics`` line, in order (the watch dashboard's time
-        series).
-    updated_unix:
-        The latest timestamp any line carries, or ``None`` before the
-        first line.
+        not closed yet are promoted to roots.  Counters and gauges
+        come from the last ``metrics`` line.
     finished:
-        Whether the ``end`` line has been read.
+        Whether the ``end`` line has been read; a run that raised
+        leaves none.
     """
 
     document: dict[str, Any]
-    metrics: list[dict[str, Any]]
-    updated_unix: float | None
     finished: bool
 
 
@@ -74,10 +73,9 @@ def fold_trace(text: str) -> TraceStream:
     created: Any = None
     nodes: dict[int, dict[str, Any]] = {}
     parents: dict[int, Any] = {}
-    metrics: list[dict[str, Any]] = []
+    last: dict[str, Any] = {}
     manifest: Any = None
     finished = False
-    stamps: list[float] = []
     for number, line in enumerate(text.split("\n")[:-1], start=1):
         try:
             record = json.loads(line)
@@ -87,7 +85,6 @@ def fold_trace(text: str) -> TraceStream:
             if kind == "header":
                 schema = record["schema"]
                 created = record["created_unix"]
-                stamps.append(float(created))
             elif kind == "span":
                 node: dict[str, Any] = {
                     "name": record["name"],
@@ -98,18 +95,15 @@ def fold_trace(text: str) -> TraceStream:
                 }
                 nodes[int(record["id"])] = node
                 parents[int(record["id"])] = record["parent"]
-                stamps.append(float(node["start_unix"] + node["duration"]))
             elif kind == "metrics":
                 if not isinstance(record["counters"], dict) or not isinstance(
                     record["gauges"], dict
                 ):
                     raise ValueError("counters and gauges must be objects")
-                stamps.append(float(record["ts_unix"]))
-                metrics.append(record)
+                last = record
             elif kind == "end":
                 manifest = record["manifest"]
                 finished = True
-                stamps.append(float(record["ts_unix"]))
             else:
                 raise ValueError(f"unknown line kind {kind!r}")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -122,7 +116,6 @@ def fold_trace(text: str) -> TraceStream:
         (roots if parent is None else parent["children"]).append(
             nodes[span_id]
         )
-    last = metrics[-1] if metrics else {}
     document = {
         "schema": schema,
         "created_unix": created,
@@ -131,12 +124,7 @@ def fold_trace(text: str) -> TraceStream:
         "gauges": dict(last.get("gauges", {})),
         "manifest": manifest,
     }
-    return TraceStream(
-        document=document,
-        metrics=metrics,
-        updated_unix=max(stamps) if stamps else None,
-        finished=finished,
-    )
+    return TraceStream(document=document, finished=finished)
 
 
 def read_trace(path: str | os.PathLike[str]) -> dict[str, Any]:
@@ -174,6 +162,42 @@ def read_trace(path: str | os.PathLike[str]) -> dict[str, Any]:
     return stream.document
 
 
+#: ``ru_maxrss`` is counted in KiB on Linux and in bytes on macOS.
+_MAXRSS_BYTES = 1 if sys.platform == "darwin" else 1024
+
+
+def _publish_usage(recorder: Recorder, children_before: Any) -> None:
+    """Publish the run's ``resource.*`` gauges from ``getrusage``.
+
+    ``resource.rss_peak_bytes`` and ``resource.cpu_seconds`` are this
+    process's peak resident set and CPU time.  The two
+    ``resource.workers.*`` gauges are written only when a child was
+    reaped since ``children_before`` was read (its ``ru_minflt``
+    grew): the largest peak resident set of any child reaped since the
+    process started, and the CPU time of the children reaped in
+    between.  The children's counters do not start at zero: they carry
+    over from whatever the process reaped before it exec'd the
+    interpreter, such as a launcher script's subprocesses, so
+    "nonzero" would not tell a serial run from a pooled one.
+    """
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    recorder.gauge(
+        "resource.rss_peak_bytes", float(own.ru_maxrss * _MAXRSS_BYTES)
+    )
+    recorder.gauge("resource.cpu_seconds", own.ru_utime + own.ru_stime)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if children.ru_minflt > children_before.ru_minflt:
+        recorder.gauge(
+            "resource.workers.rss_peak_bytes",
+            float(children.ru_maxrss * _MAXRSS_BYTES),
+        )
+        recorder.gauge(
+            "resource.workers.cpu_seconds",
+            (children.ru_utime + children.ru_stime)
+            - (children_before.ru_utime + children_before.ru_stime),
+        )
+
+
 @contextlib.contextmanager
 def traced_run(
     path: str | os.PathLike[str],
@@ -181,12 +205,14 @@ def traced_run(
 ) -> Iterator[Recorder]:
     """Record everything inside the block to a stream at ``path``.
 
-    Opens a streaming :class:`~repro.telemetry.recorder.Recorder`,
-    activates it, and starts a resource sampler (a no-op off Linux).
-    On exit the sampler stops first, so its final sample lands in the
-    closing ``metrics`` line; then the stream ends with an ``end`` line
-    carrying ``manifest()`` — or, when the block raised, with no
-    ``end`` line, which is how a reader tells a failed run.
+    Opens a streaming :class:`~repro.telemetry.recorder.Recorder` and
+    activates it.  On exit the run's peak RSS and CPU are published as
+    ``resource.*`` gauges (none where ``getrusage`` is missing), so the
+    closing ``metrics`` line carries them; then the stream ends with an
+    ``end`` line carrying ``manifest()`` — or, when the block raised,
+    with no ``end`` line, which is how a reader tells a failed run.
+    The gauges are read before ``manifest()`` runs, because building
+    the manifest starts child processes of its own.
 
     Parameters
     ----------
@@ -197,14 +223,19 @@ def traced_run(
         the ``end`` line carries; ``None`` writes a null manifest.
     """
     recorder = Recorder(path)
-    sampler = ResourceSampler(recorder).start()
+    children = (
+        None
+        if resource is None
+        else resource.getrusage(resource.RUSAGE_CHILDREN)
+    )
     complete = False
     try:
         with trace.recording(recorder):
             yield recorder
         complete = True
     finally:
-        sampler.stop()
+        if resource is not None:
+            _publish_usage(recorder, children)
         recorder.close(
             manifest() if complete and manifest is not None else None,
             complete=complete,

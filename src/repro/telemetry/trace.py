@@ -35,7 +35,6 @@ __all__ = [
     "count",
     "gauge",
     "adopt",
-    "heartbeat",
 ]
 
 #: The process-wide active recorder; ``None`` disables all tracing.
@@ -166,10 +165,3 @@ def adopt(fragment: dict[str, Any] | None) -> None:
     if recorder is not None and fragment is not None:
         recorder.adopt(fragment)
 
-
-def heartbeat() -> None:
-    """Let a streaming recorder write a ``metrics`` line (no-op when
-    disabled; the recorder rate-limits the writes itself)."""
-    recorder = _ACTIVE
-    if recorder is not None:
-        recorder.heartbeat()

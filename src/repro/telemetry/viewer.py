@@ -9,7 +9,6 @@ when the document carries one.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any
 
@@ -21,11 +20,7 @@ __all__ = [
     "render_resources",
     "format_seconds",
     "format_bytes",
-    "sparkline",
 ]
-
-#: Glyph ramp of :func:`sparkline`: low value = low glyph.
-_SPARK_LEVELS = " .:-=+*#%"
 
 #: Span attributes surfaced inline in the tree view, in display order.
 _TREE_ATTRS = (
@@ -61,50 +56,12 @@ def format_bytes(count: float) -> str:
     raise AssertionError("unreachable")
 
 
-def sparkline(values: list[float], *, width: int = 24) -> str:
-    """One-line sparkline of a numeric series.
-
-    Values map linearly onto the glyph ramp between the series' finite
-    min and max; non-finite entries render as ``!`` so a NaN value
-    is visible instead of silently scaled away.  Series longer than
-    ``width`` are strided down to ``width`` points.
-
-    Parameters
-    ----------
-    values:
-        The series; an empty list yields an empty string.
-    width:
-        Maximum number of glyphs.
-    """
-    if not values:
-        return ""
-    if width >= 1 and len(values) > width:
-        step = len(values) / width
-        values = [values[int(index * step)] for index in range(width)]
-    finite = [value for value in values if math.isfinite(value)]
-    if not finite:
-        return "!" * len(values)
-    low, high = min(finite), max(finite)
-    span = high - low
-    top = len(_SPARK_LEVELS) - 1
-    glyphs = []
-    for value in values:
-        if not math.isfinite(value):
-            glyphs.append("!")
-        elif span <= 0:
-            glyphs.append(_SPARK_LEVELS[0])
-        else:
-            glyphs.append(_SPARK_LEVELS[round((value - low) / span * top)])
-    return "".join(glyphs)
-
-
 def render_resources(gauges: dict[str, Any]) -> list[str]:
-    """The ``resources:`` section from ``resource.*`` gauges, if any
-    (shared by ``repro trace`` and the ``repro watch`` dashboard).
+    """The ``resources:`` section from ``resource.*`` gauges, if any.
 
-    Lines: parent RSS peak / CPU, worker aggregate, then a
-    per-worker table keyed by the same PIDs the ``engine.job`` spans
-    carry in their ``worker`` attribute.
+    Lines: the parent's peak RSS and CPU, then the workers' when the
+    run reaped any.  Other ``resource.*`` gauges, such as the
+    per-worker ones older builds wrote, are not shown.
     """
     resource = {
         name[len("resource."):]: value
@@ -127,21 +84,6 @@ def render_resources(gauges: dict[str, Any]) -> list[str]:
             f"{format_bytes(resource['workers.rss_peak_bytes'])}"
             + (f"  cpu {format_seconds(cpu)}" if cpu is not None else "")
         )
-    workers: dict[str, dict[str, float]] = {}
-    for name, value in resource.items():
-        if name.startswith("worker."):
-            pid, _, field = name[len("worker."):].partition(".")
-            workers.setdefault(pid, {})[field] = float(value)
-    if workers:
-        lines.append(f"  {'worker pid':<12} {'rss peak':>10} {'cpu':>9}")
-        for pid in sorted(workers, key=lambda p: int(p) if p.isdigit() else 0):
-            stats = workers[pid]
-            rss = stats.get("rss_peak_bytes", 0.0)
-            cpu = stats.get("cpu_seconds", 0.0)
-            lines.append(
-                f"  {pid:<12} {format_bytes(rss):>10} "
-                f"{format_seconds(cpu):>9}"
-            )
     return lines
 
 

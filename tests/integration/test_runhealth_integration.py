@@ -1,15 +1,20 @@
-"""Integration tests for the run-health layer.
+"""Integration tests for traced runs: diffs and peak RSS.
 
-Pins the acceptance behaviors end to end: two traced runs of the same
-spec align span-for-span in ``repro trace diff`` with a known injected
-delta reported exactly; the engine's heartbeat gauges and the resource
-sampler's gauges land in real trace streams, which validate, render,
-and watch through the CLI.
+Two traced runs of the same spec align span-for-span in ``repro trace
+diff``, with a known injected delta reported exactly.  A traced figure
+run, in a fresh interpreter, writes one ``metrics`` line whose
+``resource.*`` gauges report the parent's peak RSS, and the workers'
+only when the run had a pool.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -19,13 +24,13 @@ from repro.telemetry import (
     Recorder,
     build_manifest,
     diff_traces,
-    fold_trace,
     read_trace,
-    sampling_supported,
     trace,
     traced_run,
     validate_trace,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def _job_specs(n=3, n_records=60, seed_root=13):
@@ -136,40 +141,67 @@ class TestTraceDiffEndToEnd:
         assert "exactly two" in capsys.readouterr().err
 
 
-class TestHeartbeatAndResources:
-    def test_heartbeat_gauges_in_trace_document(self):
-        document = _traced_document()
-        gauges = document["gauges"]
-        assert gauges["engine.jobs.total"] == 3.0
-        assert gauges["engine.jobs.completed"] == 3.0
-        assert gauges["engine.jobs.cached"] == 0.0
+def _fresh_traced_figure2(path, jobs):
+    """Run ``figure2 --trace`` in a fresh interpreter, whose children
+    usage starts clean; the run's exit code, its stream's line kinds
+    and gauges, and the interpreter's own ``ru_maxrss`` afterwards."""
+    argv = [
+        "figure2", "--records", "120", "--no-cache", "--jobs", str(jobs),
+        "--trace", str(path),
+    ]
+    code = f"""
+        import contextlib, io, json, resource
+        from repro.cli import main
+        from repro.telemetry import read_trace
 
-    def test_heartbeat_gauges_in_trace_stream(self, tmp_path):
-        stream = fold_trace(_traced_stream(tmp_path / "t.jsonl").read_text())
-        assert stream.finished
-        final = stream.metrics[-1]["gauges"]
-        assert final["engine.jobs.total"] == 3.0
-        assert final["engine.jobs.completed"] == 3.0
-        assert final["engine.jobs.cached"] == 0.0
-
-    @pytest.mark.skipif(
-        not sampling_supported(), reason="needs /proc"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main({argv!r})
+        kinds = [
+            json.loads(line)["kind"]
+            for line in open({str(path)!r}).read().splitlines()
+        ]
+        print(json.dumps({{
+            "code": code,
+            "kinds": kinds,
+            "gauges": read_trace({str(path)!r})["gauges"],
+            "maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        }}))
+    """
+    env_path = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     )
-    def test_resource_gauges_reach_the_trace(self, tmp_path):
-        document = validate_trace(
-            read_trace(_traced_stream(tmp_path / "t.jsonl"))
-        )
-        assert document["gauges"]["resource.rss_peak_bytes"] > 0.0
-        assert document["counters"]["resource.samples"] >= 1
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=dict(os.environ, PYTHONPATH=env_path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
 
-    def test_cli_validate_render_and_watch_a_stream(self, tmp_path, capsys):
-        path = str(_traced_stream(tmp_path / "t.jsonl"))
-        assert main(["trace", path, "--validate"]) == 0
-        assert "valid repro-trace/v2 stream" in capsys.readouterr().out
-        assert main(["trace", path]) == 0
-        assert "engine.run" in capsys.readouterr().out
-        assert main(["watch", path, "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "3/3 jobs (100%, 0 cached)" in out
-        assert "run complete" in out
 
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="ru_maxrss is read in KiB on Linux"
+)
+class TestPeakRss:
+    def test_serial_run_reports_the_parent_only(self, tmp_path):
+        run = _fresh_traced_figure2(tmp_path / "t.jsonl", jobs=1)
+        assert run["code"] == 0
+        kinds = run["kinds"]
+        assert kinds[0] == "header" and kinds[-2:] == ["metrics", "end"]
+        assert kinds.count("metrics") == 1
+        gauges = run["gauges"]
+        assert 0 < gauges["resource.rss_peak_bytes"] <= run["maxrss"] * 1024
+        assert gauges["resource.cpu_seconds"] > 0
+        # The manifest ran git, but after the gauges were read.
+        assert not [g for g in gauges if g.startswith("resource.workers")]
+
+    def test_pooled_run_reports_the_workers(self, tmp_path):
+        run = _fresh_traced_figure2(tmp_path / "t.jsonl", jobs=2)
+        assert run["code"] == 0
+        assert run["kinds"].count("metrics") == 1
+        gauges = run["gauges"]
+        assert gauges["resource.workers.rss_peak_bytes"] > 0
+        assert gauges["resource.workers.cpu_seconds"] > 0

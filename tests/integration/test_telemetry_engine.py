@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.api.spec import ExperimentSpec
 from repro.engine import (
     Engine,
@@ -205,6 +207,20 @@ class TestTracedEngineRuns:
         assert all("original_duration" in job["attrs"] for job in hits)
         assert second_doc["counters"] == {"cache.hit": 4}
         assert [r.values for r in second] == [r.values for r in first]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_span_counts_jobs_and_cache_hits(self, tmp_path, workers):
+        # The run span, not a gauge, is where a trace counts its jobs.
+        cache = ResultCache(tmp_path)
+        for cached in (0, 4):
+            _, document = _traced_run(Executor(workers=workers), cache)
+            run = document["spans"][0]
+            assert run["attrs"]["jobs"] == 4
+            assert run["attrs"]["cached"] == cached
+            assert len(_engine_jobs(document)) == 4
+            assert not any(
+                name.startswith("engine.jobs.") for name in document["gauges"]
+            )
 
     def test_results_bit_identical_with_tracing_on(self):
         plain = Engine(executor=Executor()).run(_job_specs())

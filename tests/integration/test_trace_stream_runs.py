@@ -1,18 +1,16 @@
-"""Traced figure runs streamed to disk, read back, watched, and diffed.
+"""Traced figure runs streamed to disk, read back and diffed.
 
 Figure 2 at ``n_records=200`` is recorded twice in one process — first
 on a 2-worker pool, then serially — through the same
 :func:`~repro.telemetry.traced_run` harness ``--trace`` opens.  The
-streams must fold back into exactly the in-memory document, render
-under ``repro watch --once`` at every prefix, stay within the metrics
-line budget, and align span for span in ``repro trace diff``.
+streams must fold back into exactly the in-memory document, fold at
+every prefix (a run still going, or one cut short), hold one
+``metrics`` line, and align span for span in ``repro trace diff``.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import time
 
 import pytest
@@ -22,11 +20,11 @@ from repro.cli import main
 from repro.telemetry import (
     build_manifest,
     diff_traces,
+    fold_trace,
     read_trace,
     traced_run,
     validate_trace,
 )
-from repro.telemetry.watch import watch_loop
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +51,9 @@ def test_read_trace_equals_the_recorder_document(runs, jobs):
     document = recorder.to_document(manifest=manifest)
     assert folded.pop("created_unix") <= document.pop("created_unix")
     assert folded == document
-    assert folded["gauges"]["engine.jobs.completed"] == 12.0
+    [run] = folded["spans"]
+    assert run["attrs"]["jobs"] == 12
+    assert [job["name"] for job in run["children"]] == ["engine.job"] * 12
 
 
 def test_serial_run_after_a_pool_run_reports_no_workers(runs):
@@ -62,12 +62,13 @@ def test_serial_run_after_a_pool_run_reports_no_workers(runs):
     assert not [name for name in gauges if name.startswith("resource.worker")]
 
 
-def test_serial_run_writes_at_most_one_metrics_line_a_second(runs):
-    path, _, _, elapsed = runs[1]
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_writes_one_metrics_line(runs, jobs):
+    path = runs[jobs][0]
     kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
     assert kinds[0] == "header"
-    assert kinds[-1] == "end"
-    assert 1 <= kinds.count("metrics") <= math.ceil(elapsed) + 2
+    assert kinds[-2:] == ["metrics", "end"]
+    assert kinds.count("metrics") == 1
 
 
 def test_trace_diff_of_the_two_runs_aligns_every_span(runs):
@@ -76,20 +77,18 @@ def test_trace_diff_of_the_two_runs_aligns_every_span(runs):
     assert {row["status"] for row in diff["spans"]} == {"common"}
 
 
-def test_cli_validate_diff_and_watch(runs, capsys):
+def test_cli_validate_render_and_diff(runs, capsys):
     serial, pooled = str(runs[1][0]), str(runs[2][0])
     assert main(["trace", serial, "--validate"]) == 0
     assert "valid repro-trace/v2 stream" in capsys.readouterr().out
+    assert main(["trace", pooled]) == 0
+    assert "resources:" in capsys.readouterr().out
     assert main(["trace", "diff", serial, pooled]) == 0
     out = capsys.readouterr().out
     assert "only in" not in out
-    assert main(["watch", serial, "--once"]) == 0
-    frame = capsys.readouterr().out
-    assert "12/12 jobs (100%, 0 cached)" in frame
-    assert "run complete" in frame
 
 
-def test_every_prefix_folds_and_renders(runs, tmp_path):
+def test_every_prefix_folds_and_reads(runs, tmp_path):
     text = runs[1][0].read_text()
     cuts = set()
     offset = 0
@@ -99,7 +98,10 @@ def test_every_prefix_folds_and_renders(runs, tmp_path):
     cuts.add(len(text))
     target = tmp_path / "prefix.jsonl"
     for cut in sorted(cuts):
+        stream = fold_trace(text[:cut])
+        assert stream.finished == (cut == len(text)), cut
+        if stream.document["schema"] is None:
+            continue  # no complete header line yet
         target.write_text(text[:cut])
-        out = io.StringIO()
-        assert watch_loop(target, out, once=True) == 0, cut
-        assert ("run complete" in out.getvalue()) == (cut == len(text)), cut
+        document = validate_trace(read_trace(target))
+        assert (document["manifest"] is not None) == stream.finished, cut

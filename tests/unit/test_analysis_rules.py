@@ -158,61 +158,26 @@ class TestWallClock:
         assert not fired(report, "wall-clock")
         assert report.suppressed
 
-    def test_watch_module_in_scope(self, tmp_path):
-        # The run-health modules carry kernel-grade clock discipline:
-        # a direct time read in the watch dashboard is a finding.
-        report = check_snippet(
-            tmp_path, self.TRIGGER, module="repro.telemetry.watch"
-        )
-        assert fired(report, "wall-clock")
-
-    def test_sampler_module_in_scope(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            from time import monotonic
-
-            def sample():
-                return monotonic()
-            """,
-            module="repro.telemetry.sampler",
-        )
-        assert fired(report, "wall-clock")
-
     def test_diff_module_in_scope(self, tmp_path):
         report = check_snippet(
             tmp_path, self.TRIGGER, module="repro.telemetry.diff"
         )
         assert fired(report, "wall-clock")
 
-    def test_clock_shim_module_is_exempt(self, tmp_path):
-        # The _clock shims are the sanctioned touch point: direct reads
-        # there are the whole point and must not fire.
+    def test_recorder_module_is_exempt(self, tmp_path):
+        # The recorder stamps stream lines with the wall clock; that is
+        # its job, and it computes no payload or cache key.
         report = check_snippet(
             tmp_path,
             """
             import time
 
-            def wall_now():
-                return time.time()
+            def stamp():
+                return {"ts_unix": time.time()}
             """,
-            module="repro.telemetry._clock",
+            module="repro.telemetry.recorder",
         )
         assert not fired(report, "wall-clock")
-
-    def test_runhealth_clean_via_shims(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            from repro.telemetry._clock import mono_now, wall_now
-
-            def snapshot():
-                return {"ts_unix": wall_now(), "mono": mono_now()}
-            """,
-            module="repro.telemetry.watch",
-        )
-        assert not fired(report, "wall-clock")
-        assert report.ok
 
 
 class TestNdarrayEq:

@@ -76,6 +76,15 @@ class TestParser:
         assert "figure1" in out
         assert "bench" not in out
 
+    def test_watch_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["watch", "t.jsonl"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'watch'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        assert "watch" not in capsys.readouterr().out
+
     def test_bench_package_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.bench")
@@ -128,3 +137,64 @@ class TestMain:
         second = capsys.readouterr().out
         assert second == first
         assert set(cache_dir.glob("??/*.json")) == set(entries)
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "figure", ["figure1", "figure2", "figure3", "figure4"]
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--records", "1"],
+            ["--trials", "0"],
+            ["--noise-std", "-1"],
+            ["--noise-std", "nan"],
+            ["--seed", "-5"],
+        ],
+    )
+    def test_invalid_figure_config_is_one_error_line(
+        self, figure, flags, capsys
+    ):
+        assert main([figure, "--no-cache", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "t.jsonl", "--top", "-3"],
+            ["trace", "t.jsonl", "--depth", "-1"],
+            ["trace", "diff", "a.jsonl", "b.jsonl", "--top", "-3"],
+            ["figure1", "--jobs", "-1"],
+        ],
+    )
+    def test_negative_counts_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "t.jsonl", "--top", "abc"],
+            ["trace", "t.jsonl", "--depth", "1.5"],
+            ["figure1", "--jobs", "two"],
+        ],
+    )
+    def test_non_integer_counts_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be an integer, got {argv[-1]!r}" in err
+
+    def test_zero_trace_counts_are_accepted(self):
+        args = build_parser().parse_args(
+            ["trace", "t.jsonl", "--top", "0", "--depth", "0"]
+        )
+        assert (args.top, args.depth) == (0, 0)

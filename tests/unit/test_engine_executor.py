@@ -282,17 +282,6 @@ class TestPoolDispatch:
         assert len(cache) == 3
         assert cache.get(specs[3]) is None
 
-    def test_pool_without_processes_announces_nothing(
-        self, inline_pool, monkeypatch
-    ):
-        import repro.telemetry.sampler as sampler
-
-        announced = []
-        monkeypatch.setattr(sampler, "announce_workers", announced.append)
-        inline_pool()
-        Executor(workers=2).run(_specs(4))
-        assert announced == []
-
 
 class TestRealPool:
     @pytest.mark.parametrize(
@@ -323,24 +312,6 @@ class TestRealPool:
         monkeypatch.setattr(executor_module, "_ProcessPool", no_pool)
         results = Executor(workers=1).run(_specs(12, "pid_task"))
         assert {r.values["pid"] for r in results} == {os.getpid()}
-
-    def test_pool_announces_its_worker_pids(self, monkeypatch):
-        import repro.telemetry.sampler as sampler
-
-        announced = []
-        monkeypatch.setattr(sampler, "announce_workers", announced.append)
-        results = Executor(workers=2).run(_specs(4, "pid_task"))
-        (pids,) = announced
-        assert pids and os.getpid() not in pids
-        assert {r.values["pid"] for r in results} <= set(pids)
-
-    def test_in_process_run_announces_nothing(self, monkeypatch):
-        import repro.telemetry.sampler as sampler
-
-        announced = []
-        monkeypatch.setattr(sampler, "announce_workers", announced.append)
-        Executor().run(_specs(4))
-        assert announced == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unresolvable_task_drains_to_failed_result(self, workers):

@@ -24,12 +24,14 @@ from repro.telemetry import (
     build_manifest,
     format_seconds,
     render_trace,
-    sparkline,
     spec_fingerprint,
     read_trace,
     trace,
     validate_trace,
 )
+
+
+_MIB = 1024.0 * 1024.0
 
 
 # ----------------------------------------------------------------------
@@ -562,9 +564,46 @@ class TestViewerEdgeCases:
         )
         assert "resource." not in gauges_line
         assert "engine.workers=2" in gauges_line
-        # Per-worker table row keyed by PID.
-        assert "123" in text
-        assert "32.0MiB" in text
+        # Per-PID gauges, which older builds wrote, are not shown.
+        assert "32.0MiB" not in text
+
+    @pytest.mark.parametrize(
+        "gauges, lines",
+        [
+            ({"engine.workers": 2.0}, []),
+            (
+                {"resource.rss_peak_bytes": 2 * _MIB,
+                 "resource.cpu_seconds": 1.5},
+                ["", "resources:", "  parent   rss peak 2.0MiB  cpu 1.50s"],
+            ),
+            (
+                {"resource.rss_peak_bytes": 2 * _MIB},
+                ["", "resources:", "  parent   rss peak 2.0MiB"],
+            ),
+            (
+                {"resource.rss_peak_bytes": 2 * _MIB,
+                 "resource.cpu_seconds": 0.25,
+                 "resource.workers.rss_peak_bytes": 3 * _MIB,
+                 "resource.workers.cpu_seconds": 0.5},
+                ["", "resources:",
+                 "  parent   rss peak 2.0MiB  cpu 250.0ms",
+                 "  workers  rss peak 3.0MiB  cpu 500.0ms"],
+            ),
+            (
+                {"resource.rss_peak_bytes": 2 * _MIB,
+                 "resource.workers.rss_peak_bytes": 3 * _MIB},
+                ["", "resources:",
+                 "  parent   rss peak 2.0MiB",
+                 "  workers  rss peak 3.0MiB"],
+            ),
+        ],
+        ids=["none", "parent", "parent-no-cpu", "parent-and-workers",
+             "workers-no-cpu"],
+    )
+    def test_render_resources_lines(self, gauges, lines):
+        from repro.telemetry.viewer import render_resources
+
+        assert render_resources(gauges) == lines
 
 
 # ----------------------------------------------------------------------
@@ -611,30 +650,3 @@ class TestOverheadBudget:
     def test_disabled_span_does_not_allocate_contexts(self):
         spans = {id(trace.span("a")) for _ in range(32)}
         assert len(spans) == 1  # always the shared NULL_SPAN singleton
-
-
-# ----------------------------------------------------------------------
-# Sparklines
-
-
-class TestSparkline:
-    def test_empty_series_renders_empty(self):
-        assert sparkline([]) == ""
-
-    def test_constant_series_renders_flat(self):
-        line = sparkline([2.0, 2.0, 2.0])
-        assert len(line) == 3
-        assert len(set(line)) == 1
-
-    def test_monotone_series_ends_at_the_top_glyph(self):
-        line = sparkline([0.0, 1.0, 2.0, 3.0])
-        assert line[0] == " "
-        assert line[-1] == "%"
-
-    def test_long_series_downsamples_to_width(self):
-        assert len(sparkline([float(i) for i in range(100)], width=24)) == 24
-
-    def test_nonfinite_values_render_as_bangs(self):
-        line = sparkline([1.0, float("nan"), 2.0])
-        assert line[1] == "!"
-        assert sparkline([float("nan"), float("inf")]) == "!!"

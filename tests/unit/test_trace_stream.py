@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-import repro.telemetry.recorder as recorder_module
 from repro.exceptions import ValidationError
 from repro.telemetry import (
     TRACE_SCHEMA,
@@ -153,31 +152,8 @@ class TestStreamingRecorder:
         assert _fold_equals_document(path, recorder)
         assert len(read_trace(path)["spans"]) == 4
 
-    def test_heartbeat_is_rate_limited(self, tmp_path, monkeypatch):
-        clock = iter([100.0, 100.5, 100.99, 101.0, 101.2, 102.5])
-        monkeypatch.setattr(recorder_module, "mono_now", lambda: next(clock))
-        path = tmp_path / "t.jsonl"
-        recorder = Recorder(path)
-        for completed in range(6):
-            recorder.gauge("engine.jobs.completed", float(completed))
-            recorder.heartbeat()
-        metrics = [
-            line["gauges"]["engine.jobs.completed"]
-            for line in _lines(path)
-            if line["kind"] == "metrics"
-        ]
-        # Writes at t=100.0, 101.0, and 102.5: at most one per second.
-        assert metrics == [0.0, 3.0, 5.0]
-        recorder.close()
-
-    def test_heartbeat_on_disabled_facade_is_a_no_op(self):
-        assert trace.active_recorder() is None
-        trace.heartbeat()  # must not raise
-
     def test_in_memory_recorder_never_writes(self):
         recorder = Recorder()
-        recorder.heartbeat()
-        recorder.write_metrics()
         recorder.close({"x": 1})
         assert recorder.to_document()["spans"] == []
 
@@ -190,7 +166,6 @@ class TestStreamingRecorder:
         with trace.recording(recorder):
             with trace.span("late"):
                 pass
-        recorder.heartbeat()
         assert path.stat().st_size == size
 
     def test_incomplete_close_writes_no_end_line(self, tmp_path):
@@ -263,19 +238,6 @@ class TestFoldTrace:
         )
         assert stream.document["counters"] == {"a": 2}
         assert stream.document["gauges"] == {"g": 3.0}
-        assert len(stream.metrics) == 2
-
-    def test_updated_is_the_latest_time_any_line_carries(self):
-        stream = fold_trace(
-            _text(
-                _HEADER,
-                _span(0, None, "late", start=20.0, duration=5.0),
-                {"kind": "metrics", "ts_unix": 21.0,
-                 "counters": {}, "gauges": {}},
-            )
-        )
-        assert stream.updated_unix == 25.0
-        assert not stream.finished
 
     def test_end_line_finishes_and_carries_the_manifest(self):
         stream = fold_trace(
@@ -286,14 +248,13 @@ class TestFoldTrace:
         )
         assert stream.finished
         assert stream.document["manifest"] == {"m": 1}
-        assert stream.updated_unix == 9.0
 
     def test_empty_text_folds_to_an_empty_stream(self):
         stream = fold_trace("")
         assert stream.document["schema"] is None
         assert stream.document["spans"] == []
-        assert stream.metrics == []
-        assert stream.updated_unix is None
+        assert stream.document["counters"] == {}
+        assert not stream.finished
 
     @pytest.mark.parametrize(
         "text,match",
@@ -354,3 +315,77 @@ class TestReadTrace:
         path.write_text(json.dumps({"schema": "repro-trace/v1"}, indent=2))
         assert main(["trace", str(path)]) == 1
         assert "'repro-trace/v1'" in capsys.readouterr().err
+
+
+class TestTraceCommandOnDamagedFiles:
+    """``repro trace`` exits 2 on an unreadable file, 1 on a file that is
+    not a stream, and reads a stream cut mid-line as an unfinished run."""
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = tmp_path / "good.jsonl"
+        path.write_text(_text(_HEADER, _span(0, None, "root")))
+        return path
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_diff_with_a_missing_side_exits_2(
+        self, good, tmp_path, capsys, side
+    ):
+        from repro.cli import main
+
+        files = [str(good), str(good)]
+        files[side] = str(tmp_path / "absent.jsonl")
+        assert main(["trace", "diff", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: trace file not found: {files[side]}\n"
+        assert captured.out == ""
+
+    def test_validate_of_a_missing_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["trace", str(tmp_path / "absent.jsonl"), "--validate"]) == 2
+        assert "trace file not found" in capsys.readouterr().err
+
+    def test_stream_cut_mid_line_validates_and_renders(self, tmp_path, capsys):
+        from repro.cli import main
+
+        text = _text(
+            _HEADER,
+            _span(1, 0, "engine.job"),
+            _span(0, None, "engine.run"),
+            {"kind": "metrics", "ts_unix": 12.0, "counters": {"jobs": 1},
+             "gauges": {}},
+            {"kind": "end", "ts_unix": 12.5, "manifest": None},
+        )
+        path = tmp_path / "cut.jsonl"
+        path.write_text(text[: len(text) - 10])  # the end line is torn
+        assert not fold_trace(path.read_text()).finished
+        assert main(["trace", str(path), "--validate"]) == 0
+        assert main(["trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "engine.run" in out and "engine.job" in out
+        assert "jobs=1" in out
+
+    def test_corrupt_complete_line_exits_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(_text(_HEADER) + "not json\n")
+        assert main(["trace", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid trace:")
+        assert "line 2" in err
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xff\xfe\x00garbage\n")
+        assert main(["trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read trace:")
+
+    def test_view_takes_one_file(self, good, capsys):
+        from repro.cli import main
+
+        assert main(["trace", str(good), str(good)]) == 2
+        assert "views one file" in capsys.readouterr().err
