@@ -9,8 +9,6 @@ Usage (after ``pip install -e .``)::
     repro trace t.jsonl               # render a recorded trace stream
     repro trace t.jsonl --validate    # check it against repro-trace/v2
     repro trace diff a.jsonl b.jsonl  # span-aligned cross-run deltas
-    repro check src/ --fix-hints      # determinism/parallel-safety lints
-    repro check --list-rules          # the registered rule catalog
     repro list schemes                # registered randomization schemes
     repro list attacks                # registered reconstruction attacks
     repro list datasets               # registered dataset generators
@@ -37,8 +35,8 @@ one column per attack (:func:`repro.experiments.reporting.render_series`)
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
+import contextlib
+import os
 import sys
 
 from repro.api.builtin import builtin_spec
@@ -214,55 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(sub)
 
     sub = subparsers.add_parser(
-        "check",
-        help="static determinism & parallel-safety analysis",
-        description=(
-            "Run the AST-based rule catalog (seeded-RNG flow, pickle-"
-            "safe tasks, array-aware dataclass equality, clock-free "
-            "kernels, lock hygiene, registry spec signatures) over "
-            "source trees.  Any unsuppressed finding fails the check; "
-            "silence a deliberate violation with an inline "
-            "'# repro: ignore[rule-key] justification' comment."
-        ),
-    )
-    sub.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to scan (default: src)",
-    )
-    sub.add_argument(
-        "--rules",
-        default=None,
-        metavar="KEYS",
-        help=(
-            "comma-separated rule keys to run (default: every "
-            "registered rule; see --list-rules)"
-        ),
-    )
-    sub.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write the repro-check/v1 JSON report to PATH "
-            "(stdout when the flag is given bare)"
-        ),
-    )
-    sub.add_argument(
-        "--fix-hints",
-        action="store_true",
-        help="show each fired rule's suggested fix under its findings",
-    )
-    sub.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the registered rules (key, severity, scope) and exit",
-    )
-
-    sub = subparsers.add_parser(
         "trace",
         help="inspect or diff recorded repro-trace/v2 streams",
         description=(
@@ -298,12 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=_non_negative,
         default=None,
         metavar="D",
-        help="limit the span tree to D levels (default: unlimited)",
+        help=(
+            "limit the span tree to D levels (default: unlimited; not "
+            "in diff mode)"
+        ),
     )
     sub.add_argument(
         "--validate",
         action="store_true",
-        help="check the stream against the schema and exit (no render)",
+        help=(
+            "check the stream against the schema and exit (no render; "
+            "not in diff mode)"
+        ),
     )
 
     return parser
@@ -333,7 +288,9 @@ def _execute_spec(spec, args):
     as it goes (:func:`~repro.telemetry.stream.traced_run`), ending
     with a manifest that joins the spec's seed lineage with the
     per-job timings collected by a
-    :class:`~repro.engine.progress.TraceReporter`.
+    :class:`~repro.engine.progress.TraceReporter`.  A trace path that
+    cannot be opened for writing prints one ``error:`` line and returns
+    ``None``, before any job runs.
     """
     engine = _engine_from_args(args)
     trace_path = getattr(args, "trace", None)
@@ -341,14 +298,22 @@ def _execute_spec(spec, args):
         return run_spec(spec, engine=engine)
     reporter = TraceReporter(inner=engine.progress)
     engine.progress = reporter
-    with traced_run(
+    recording = traced_run(
         trace_path,
         manifest=lambda: build_manifest(
             spec=spec,
             rows=reporter.rows,
             extra={"command": "run", "elapsed": reporter.elapsed},
         ),
-    ):
+    )
+    with contextlib.ExitStack() as stack:
+        # Only the entry is guarded: it opens PATH, and an OSError from
+        # the run itself must not be reported as a trace error.
+        try:
+            stack.enter_context(recording)
+        except OSError as exc:
+            print(f"error: cannot write trace: {exc}", file=sys.stderr)
+            return None
         result = run_spec(spec, engine=engine)
     print(f"wrote trace {trace_path}", file=sys.stderr)
     return result
@@ -371,6 +336,8 @@ def _run_spec_file(args) -> int:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return 2
     result = _execute_spec(spec, args)
+    if result is None:
+        return 2
     if args.json:
         print(result.to_json(indent=2))
         return 0
@@ -380,45 +347,6 @@ def _run_spec_file(args) -> int:
         print()
         print(plot_series(series))
     return 0
-
-
-def _run_check(args) -> int:
-    """Run the static-analysis catalog (the ``check`` subcommand)."""
-    # Imported lazily: the analysis rules are pure stdlib-AST code the
-    # experiment subcommands never need.
-    from repro.analysis import (
-        render_report,
-        render_rules,
-        report_payload,
-        run_check,
-    )
-
-    if args.list_rules:
-        print(render_rules())
-        return 0
-    rules = None
-    if args.rules is not None:
-        rules = [key.strip() for key in args.rules.split(",") if key.strip()]
-        if not rules:
-            print("error: --rules got an empty list", file=sys.stderr)
-            return 2
-    paths = args.paths or ["src"]
-    try:
-        report = run_check(paths, rules=rules)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json is not None:
-        text = json.dumps(report_payload(report), indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            pathlib.Path(args.json).write_text(text + "\n")
-            print(f"wrote report {args.json}", file=sys.stderr)
-            print(render_report(report, fix_hints=args.fix_hints))
-    else:
-        print(render_report(report, fix_hints=args.fix_hints))
-    return 0 if report.ok else 1
 
 
 def _load_trace(path: str) -> tuple[dict | None, int]:
@@ -453,6 +381,16 @@ def _view_trace(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        for flag, given in (
+            ("--depth", args.depth is not None),
+            ("--validate", args.validate),
+        ):
+            if given:
+                print(
+                    f"error: 'repro trace diff' does not take {flag}",
+                    file=sys.stderr,
+                )
+                return 2
         payload_a, code = _load_trace(files[1])
         if payload_a is None:
             return code
@@ -478,16 +416,31 @@ def _view_trace(args) -> int:
 
 
 def main(argv=None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
 
+    A reader that closes stdout early (``repro trace t.jsonl | head``)
+    ends the run quietly with exit 1: stdout is pointed at
+    ``os.devnull`` so the interpreter's last flush cannot fail again
+    (the "Note on SIGPIPE" recipe of Python's :mod:`signal` docs).
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        # Flush here, not at interpreter exit, so a closed pipe raises
+        # inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(args) -> int:
     if args.experiment == "run":
         return _run_spec_file(args)
     if args.experiment == "list":
         return _list_components(args)
-    if args.experiment == "check":
-        return _run_check(args)
     if args.experiment == "trace":
         return _view_trace(args)
 
@@ -505,7 +458,10 @@ def main(argv=None) -> int:
         spec = builtin_spec(args.experiment, config)
     else:
         spec = builtin_spec(args.experiment)
-    series = _execute_spec(spec, args).to_series()
+    result = _execute_spec(spec, args)
+    if result is None:
+        return 2
+    series = result.to_series()
     print(render_series(series))
     if getattr(args, "plot", False):
         print()

@@ -270,7 +270,7 @@ def execute_job(spec: JobSpec, *, fail_fast: bool = True) -> JobResult:
         raise
     # The clock reads below measure JobResult.duration only; the value
     # never reaches the payload or JobSpec.key().
-    start = time.perf_counter()  # repro: ignore[wall-clock] duration metric
+    start = time.perf_counter()
     try:
         values = function(spec.params, rng)
     except Exception as exc:
@@ -282,7 +282,7 @@ def execute_job(spec: JobSpec, *, fail_fast: bool = True) -> JobResult:
             f"{spec.seed_path}) failed: {type(exc).__name__}: {exc}",
             traceback=original,
         ) from exc
-    duration = time.perf_counter() - start  # repro: ignore[wall-clock] duration metric
+    duration = time.perf_counter() - start
     try:
         if not isinstance(values, dict):
             raise JobExecutionError(

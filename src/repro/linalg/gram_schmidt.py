@@ -111,5 +111,5 @@ def random_orthogonal(dim: int, rng=None) -> np.ndarray:
     signs = np.sign(np.diag(r))
     # np.sign returns exactly 0.0 for a zero diagonal entry; this replaces
     # that exact sentinel, not an approximate value.
-    signs[signs == 0.0] = 1.0  # repro: ignore[float-eq] exact sign sentinel
+    signs[signs == 0.0] = 1.0
     return q * signs

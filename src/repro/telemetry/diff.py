@@ -244,11 +244,12 @@ def render_diff(diff: dict[str, Any], *, top: int = 20) -> str:
         key=lambda row: abs(row["delta_self"]),
         reverse=True,
     )
+    # An exact zero delta means the span pair is literally identical
+    # (cached on both sides); any real timing differs in the last bit.
     changed = [
         row
         for row in common
-        if row["delta_self"] != 0.0  # repro: ignore[float-eq] exact zero means the span pair is literally identical (cached both sides); any real timing differs in the last bit
-        or row["cached_changed"]
+        if row["delta_self"] != 0.0 or row["cached_changed"]
     ]
     if changed:
         lines.append("")

@@ -1,10 +1,17 @@
 """Unit tests for the repro CLI."""
 
 import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+_REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestParser:
@@ -76,14 +83,15 @@ class TestParser:
         assert "figure1" in out
         assert "bench" not in out
 
-    def test_watch_is_not_a_command(self, capsys):
+    @pytest.mark.parametrize("command", ["watch", "check"])
+    def test_deleted_subcommand_is_not_a_command(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["watch", "t.jsonl"])
+            build_parser().parse_args([command, "t.jsonl"])
         assert exc.value.code == 2
-        assert "invalid choice: 'watch'" in capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
-        assert "watch" not in capsys.readouterr().out
+        assert command not in capsys.readouterr().out
 
     def test_bench_package_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
@@ -198,3 +206,57 @@ class TestArgumentErrors:
             ["trace", "t.jsonl", "--top", "0", "--depth", "0"]
         )
         assert (args.top, args.depth) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure1", "--records", "200"],
+            ["run", str(_REPO / "examples" / "specs" / "mini.json")],
+        ],
+    )
+    def test_unwritable_trace_path_is_one_error_line(
+        self, argv, tmp_path, capsys
+    ):
+        path = tmp_path / "absent" / "t.jsonl"
+        assert main([*argv, "--no-cache", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write trace:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags", [["--depth", "1"], ["--validate"]]
+    )
+    def test_trace_diff_rejects_view_only_flags(self, flags, capsys):
+        # Checked before either file is read: the paths need not exist.
+        assert main(["trace", "diff", "a.jsonl", "b.jsonl", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: 'repro trace diff' does not take {flags[0]}\n"
+        )
+        assert captured.out == ""
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # 2000 root spans render to about 200 kB, more than a pipe holds, so
+    # the CLI is still writing when the reader closes after one line.
+    path = tmp_path / "big.jsonl"
+    records = [{"kind": "header", "schema": "repro-trace/v2",
+                "created_unix": 5.0}]
+    records += [
+        {"kind": "span", "id": i, "parent": None, "name": f"job.{i}",
+         "start_unix": 10.0 + i, "duration": 1.0, "attrs": {}}
+        for i in range(2000)
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "trace", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(_REPO / "src")},
+    )
+    assert process.stdout.readline().startswith(b"trace repro-trace/v2")
+    process.stdout.close()
+    stderr = process.stderr.read().decode()
+    assert process.wait(timeout=60) == 1
+    assert stderr == "", stderr  # no Traceback, no "Exception ignored"

@@ -8,7 +8,9 @@ ASCII viewer, and the <2% disabled-hook overhead budget.
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 import threading
 import time
 
@@ -183,6 +185,29 @@ class TestRecorder:
         document = recorder.to_document()
         assert document["schema"] == TRACE_SCHEMA
         validate_trace(document)
+
+_SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def test_no_lock_is_acquired_outside_a_with_block():
+    # An exception between a bare acquire() and its release() leaves a
+    # non-reentrant lock held, so the recorder's next count() or span
+    # hangs the run instead of failing it; no run-level test can see
+    # that.  Only `with lock:` releases on every exit path.
+    offenders = []
+    for path in sorted(_SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "acquire"
+            ):
+                continue
+            receiver = node.func.value
+            name = getattr(receiver, "attr", getattr(receiver, "id", ""))
+            if "lock" in name.lower() or "mutex" in name.lower():
+                offenders.append(f"{path.relative_to(_SRC)}:{node.lineno}")
+    assert not offenders, f"bare .acquire() outside a with block: {offenders}"
 
 
 # ----------------------------------------------------------------------

@@ -100,7 +100,7 @@ def _per_column_reference(disguised, noise_model):
         var_y = float(column.var())
         prior_var = max(var_y - noise.variance, 0.0)
         prior_mean = mean_y - noise.mean
-        if prior_var == 0.0:  # repro: ignore[float-eq] degenerate guard
+        if prior_var == 0.0:
             estimate[:, j] = prior_mean
             continue
         shrinkage = prior_var / (prior_var + noise.variance)
