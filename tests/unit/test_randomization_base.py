@@ -31,6 +31,22 @@ class TestNoiseModel:
         model = NoiseModel(covariance=covariance, mean=np.zeros(2))
         assert not model.is_isotropic
 
+    def test_is_isotropic_tolerates_round_off(self):
+        # sigma^2 * I assembled in floating point, e.g. as Q (sigma^2 I) Q^T,
+        # differs from it in the last bits; it is still i.i.d. noise.
+        variances = [4.0, np.nextafter(4.0, 5.0), np.nextafter(4.0, 3.0)]
+        covariance = np.diag(variances)
+        covariance[0, 1] = covariance[1, 0] = 1e-16
+        model = NoiseModel(covariance=covariance, mean=np.zeros(3))
+        assert model.is_isotropic
+        assert model.scalar_variance == pytest.approx(4.0)
+
+    def test_is_isotropic_false_for_small_real_variance_gap(self):
+        model = NoiseModel(
+            covariance=np.diag([1.0, 1.0 + 1e-6]), mean=np.zeros(2)
+        )
+        assert not model.is_isotropic
+
     def test_scalar_variance(self):
         assert _iid_model(variance=9.0).scalar_variance == pytest.approx(9.0)
 
