@@ -99,19 +99,24 @@ def run_spec(
         spec JSON file.
     engine:
         A preconfigured engine; mutually exclusive with the keyword
-        shortcuts below.
+        shortcuts below.  It is left open, so its pool (if any) serves
+        the caller's next run; close it when done.
     engine_kwargs:
         ``jobs`` / ``cache`` / ``progress`` / ``fail_fast`` forwarded to
-        :func:`build_engine` when no engine is given.
+        :func:`build_engine` when no engine is given.  That engine is
+        closed before this returns.
     """
     if engine is not None and engine_kwargs:
         raise ValidationError(
             "pass either a prebuilt 'engine' or engine keywords, not both"
         )
     experiment_spec = _coerce_spec(spec)
-    if engine is None:
-        engine = build_engine(**engine_kwargs)
-    results = engine.run(experiment_spec.compile_jobs())
+    if engine is not None:
+        results = engine.run(experiment_spec.compile_jobs())
+    else:
+        # An engine built here is closed here, so its workers go too.
+        with build_engine(**engine_kwargs) as built:
+            results = built.run(experiment_spec.compile_jobs())
     return ExperimentResult.from_job_results(experiment_spec, results)
 
 

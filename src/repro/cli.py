@@ -295,7 +295,8 @@ def _execute_spec(spec, args):
     engine = _engine_from_args(args)
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
-        return run_spec(spec, engine=engine)
+        with engine:
+            return run_spec(spec, engine=engine)
     reporter = TraceReporter(inner=engine.progress)
     engine.progress = reporter
     recording = traced_run(
@@ -314,6 +315,9 @@ def _execute_spec(spec, args):
         except OSError as exc:
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             return None
+        # Closed before the recording ends, so the workers are reaped
+        # when it reads the children's peak RSS and CPU.
+        stack.enter_context(engine)
         result = run_spec(spec, engine=engine)
     print(f"wrote trace {trace_path}", file=sys.stderr)
     return result

@@ -7,21 +7,26 @@ routes through.  Callers describe their sweep as a list of serializable
 :class:`~repro.engine.cache.ResultCache`, dispatches the misses to an
 :class:`~repro.engine.executor.Executor` (in process for one worker, a
 process pool otherwise), and returns
-:class:`~repro.engine.jobs.JobResult` objects in spec order.
+:class:`~repro.engine.jobs.JobResult` objects in spec order.  An engine
+keeps its pool's workers across runs until :meth:`Engine.close` (or the
+end of a ``with engine:`` block) reaps them.
 
 Determinism contract
 --------------------
 Every job's randomness derives solely from its ``(seed_root,
 seed_path)`` seed coordinates — ``default_rng(SeedSequence(seed_root,
 spawn_key=seed_path))`` — which reproduces the historical
-``spawn_generators`` tree exactly.  Therefore the worker count,
-chunking, and execution order never change a result bit, and a cached
-payload is interchangeable with a fresh execution.
+``spawn_generators`` tree exactly, and every job runs with numpy's
+OpenBLAS on one thread, whose count would otherwise decide the last bits
+of some kernels (see :mod:`repro.engine.executor`).  Therefore the
+worker count, chunking, and execution order never change a result bit,
+and a cached payload is interchangeable with a fresh execution.
 """
 
 from __future__ import annotations
 
 import time
+from types import TracebackType
 from typing import Sequence
 
 from repro.engine.cache import ResultCache, default_cache_dir
@@ -162,12 +167,29 @@ class Engine:
                 )
                 for (index, _), result in zip(pending, fresh):
                     results[index] = result
-            run_span.set(cached=cached)
+            run_span.set(
+                cached=cached, blas_threads=self.executor.blas_threads
+            )
 
         self.progress.on_finish(
             time.perf_counter() - started, completed, cached
         )
         return results  # type: ignore[return-value]
+
+    def close(self) -> None:
+        """Reap the executor's pool (see :meth:`Executor.close`)."""
+        self.executor.close()
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return (

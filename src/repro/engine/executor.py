@@ -5,10 +5,18 @@ into the matching list of :class:`~repro.engine.jobs.JobResult`,
 order-preserving.  Its one knob is the worker count: with one worker
 (or a single spec) every job runs in this process; otherwise the specs
 are dispatched in auto-sized chunks to a ``ProcessPoolExecutor``.
+The executor owns that pool: it forks it on its first pooled run, keeps
+its workers for later runs and reaps them in :meth:`Executor.close`.
+
 Because every job derives its randomness from ``(seed_root,
-seed_path)`` alone (see :mod:`repro.engine.jobs`), the worker count
-changes only wall-clock time — results are bit-identical to the
-in-process path for any number of workers.
+seed_path)`` alone (see :mod:`repro.engine.jobs`), and every job runs
+with numpy's OpenBLAS on one thread, in a worker or in this process,
+the worker count changes only wall-clock time — results are
+bit-identical to the in-process path for any number of workers.  The
+BLAS thread count has to be fixed for that: OpenBLAS splits some
+kernels (``A @ A.T``, LU) by thread, so their last bits depend on it.
+One thread is the count that keeps workers times BLAS threads within
+the CPUs for any worker count.
 
 Failure handling is the same on both paths: with ``fail_fast=True``
 (default) the first failing job raises
@@ -23,12 +31,19 @@ back as failed results.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
+import pathlib
 import time
+import weakref
+from concurrent.futures import Future
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.jobs import (
     JobResult,
@@ -74,23 +89,25 @@ def _execute_chunk(
     traced: bool,
     submitted_wall: float,
     fail_fast: bool,
-) -> list[JobResult]:
+) -> tuple[int | None, list[JobResult]]:
     """Worker-side batch loop (module-level so the pool can pickle it).
 
-    When the parent is tracing, each job runs under a fresh worker-side
-    recorder and its span fragment rides back on the result for
-    adoption into the parent trace.
+    Returns the worker's live BLAS thread count with the chunk's
+    results.  When the parent is tracing, each job runs under a fresh
+    worker-side recorder and its span fragment rides back on the result
+    for adoption into the parent trace.
     """
     if not traced:
-        return [execute_job(spec, fail_fast=fail_fast) for spec in specs]
-    results: list[JobResult] = []
+        results = [execute_job(spec, fail_fast=fail_fast) for spec in specs]
+        return _blas_threads(), results
+    results = []
     for spec in specs:
         recorder = Recorder()
         with trace.recording(recorder):
             queue_wait = max(0.0, time.time() - submitted_wall)
             result = _run_job(spec, fail_fast, queue_wait)
         results.append(replace(result, trace=recorder.export_fragment()))
-    return results
+    return _blas_threads(), results
 
 
 def default_worker_count() -> int:
@@ -101,14 +118,86 @@ def default_worker_count() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+@functools.cache
+def _openblas() -> tuple[Any, Any] | None:
+    """The get and set thread-count functions of numpy's bundled OpenBLAS.
+
+    ``None`` where numpy ships no scipy-openblas library exporting them
+    (numpy built against another BLAS, or a platform without ``.so``
+    libraries); there the thread count is neither read nor changed.
+    """
+    import numpy
+
+    libs = pathlib.Path(numpy.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        getter = getattr(library, "scipy_openblas_get_num_threads64_", None)
+        setter = getattr(library, "scipy_openblas_set_num_threads64_", None)
+        if getter is not None and setter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return getter, setter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """This process's live OpenBLAS thread count (``None``: unreadable)."""
+    functions = _openblas()
+    return None if functions is None else int(functions[0]())
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with numpy's OpenBLAS on one thread, then restore
+    the count it had.  A no-op without a readable OpenBLAS."""
+    functions = _openblas()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    before = int(get())
+    if before > 1:
+        set_(1)
+    try:
+        yield
+    finally:
+        if before > 1:
+            set_(before)
+
+
+def _init_worker() -> None:
+    """Pool initializer: start the worker untraced, on one BLAS thread.
+
+    It lowers numpy's OpenBLAS to one thread, the count the in-process
+    path runs its jobs at (see the module docstring), so that a pool of
+    any size stays within the CPUs.  Without a readable OpenBLAS (see
+    :func:`_openblas`) the count is left alone.
+    """
+    # A worker forked during a traced run inherits the parent's active
+    # recorder and its open stream; a chunk traces only when the parent
+    # says so (see _execute_chunk), into a recorder of its own.
+    trace._ACTIVE = None
+    functions = _openblas()
+    if functions is not None and functions[0]() > 1:
+        functions[1](1)
+
+
 def _import_tasks(specs: Sequence[JobSpec]) -> None:
     """Import what the pool's jobs run, once, before the workers fork.
 
     A forked worker inherits the parent's modules, so resolving each
-    distinct task here (and loading ``numpy.random``, which
-    :func:`~repro.engine.jobs.derive_rng` needs) spares every worker of
-    every pool importing them itself.  A task that cannot be resolved is
-    left to the job path, which reports it as it always has.
+    distinct task of the run that forks the pool (and loading
+    ``numpy.random``, which :func:`~repro.engine.jobs.derive_rng` needs)
+    spares every worker importing them itself.  A task that a later run
+    on the same pool brings is resolved by the workers, on the job path,
+    as :func:`~repro.engine.jobs.resolve_task` always does.  A task that
+    cannot be resolved is left to the job path, which reports it as it
+    always has.
     """
     import numpy.random  # noqa: F401
 
@@ -131,6 +220,14 @@ class Executor:
         capped at 16, to a process pool — enough batching to amortize
         IPC, small enough to keep the pool busy near the end of a sweep.
 
+    The pool is forked on the first pooled run, with
+    ``min(workers, chunks)`` workers, and kept for later runs; a run
+    that needs more workers than it has replaces it.  :meth:`close`
+    reaps the workers, and so does dropping the last reference to the
+    executor or leaving the interpreter.  A pool that breaks (a worker died) or that an
+    exception leaves mid-run (a raising callback, ``KeyboardInterrupt``)
+    is shut down, and the next run forks a fresh one.
+
     Parameters of :meth:`run`:
 
     ``specs``
@@ -147,20 +244,57 @@ class Executor:
         (remaining jobs may or may not have run).  ``False``: failures
         come back as failed :class:`~repro.engine.jobs.JobResult`
         objects and the whole grid drains.
+
+    Attributes
+    ----------
+    blas_threads:
+        The live OpenBLAS thread count of the processes that ran the
+        last run's jobs; ``None`` before the first run, or where it
+        cannot be read.
     """
 
     def __init__(self, workers: int = 1) -> None:
-        if workers == 0:
-            workers = default_worker_count()
-        if not isinstance(workers, int) or workers < 1:
+        if (
+            isinstance(workers, bool)
+            or not isinstance(workers, int)
+            or workers < 0
+        ):
             raise ValidationError(
                 f"workers must be a positive int (or 0 for auto), "
                 f"got {workers!r}"
             )
-        self.workers = workers
+        self.workers = workers if workers else default_worker_count()
+        self.blas_threads: int | None = None
+        self._pool: _ProcessPool | None = None
+        self._pool_size = 0
+        # Shuts the pool down when this executor is collected, so a
+        # dropped executor reaps its workers before the caller goes on.
+        self._release: Callable[[], object] | None = None
 
     def _chunk_for(self, n_jobs: int) -> int:
         return max(1, min(16, -(-n_jobs // (4 * self.workers))))
+
+    def _pool_for(self, size: int, specs: Sequence[JobSpec]) -> _ProcessPool:
+        """The live pool, forked (or replaced by a larger one) on demand."""
+        if self._pool is None or self._pool_size < size:
+            self.close()
+            _import_tasks(specs)
+            self._pool = _ProcessPool(max_workers=size, initializer=_init_worker)
+            self._pool_size = size
+            self._release = weakref.finalize(
+                self, self._pool.shutdown, True, cancel_futures=True
+            )
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its workers to exit.
+
+        Harmless without a pool and when called twice; a later pooled
+        run forks a fresh pool.
+        """
+        self._pool = None
+        if self._release is not None:
+            self._release()
 
     def run(
         self,
@@ -174,25 +308,37 @@ class Executor:
         if len(specs) <= 1 or self.workers == 1:
             # Not worth a pool; the in-process path is bit-identical.
             results: list[JobResult] = []
-            for spec in specs:
-                result = _run_job(spec, fail_fast, queue_wait=0.0)
-                if callback is not None:
-                    callback(result)
-                results.append(result)
+            with _one_blas_thread():
+                self.blas_threads = _blas_threads()
+                for spec in specs:
+                    result = _run_job(spec, fail_fast, queue_wait=0.0)
+                    if callback is not None:
+                        callback(result)
+                    results.append(result)
             return results
         chunk = self._chunk_for(len(specs))
         chunks = [specs[i:i + chunk] for i in range(0, len(specs), chunk)]
         chunk_results: list[list[JobResult] | None] = [None] * len(chunks)
         first_error: Exception | None = None
+        broken = False
         traced = trace.enabled()
-        _import_tasks(specs)
-        with _ProcessPool(max_workers=min(self.workers, len(chunks))) as pool:
-            futures = {
+        size = min(self.workers, len(chunks))
+
+        def submit(pool: _ProcessPool) -> dict[Future[Any], int]:
+            return {
                 pool.submit(
                     _execute_chunk, batch, traced, time.time(), fail_fast
                 ): index
                 for index, batch in enumerate(chunks)
             }
+
+        try:
+            try:
+                futures = submit(self._pool_for(size, specs))
+            except BrokenProcessPool:
+                # A worker died while the pool sat idle between runs.
+                self.close()
+                futures = submit(self._pool_for(size, specs))
             # Harvest in completion order so every finished chunk
             # reaches the callback (and thus the cache) even when
             # another chunk fails; the failure is re-raised only after
@@ -200,8 +346,9 @@ class Executor:
             for future in as_completed(futures):
                 index = futures[future]
                 try:
-                    batch_results = future.result()
+                    self.blas_threads, batch_results = future.result()
                 except Exception as exc:
+                    broken = broken or isinstance(exc, BrokenProcessPool)
                     if fail_fast:
                         if first_error is None:
                             first_error = exc
@@ -216,6 +363,11 @@ class Executor:
                 if callback is not None:
                     for result in batch_results:
                         callback(result)
+        except BaseException:
+            self.close()
+            raise
+        if broken:
+            self.close()
         if first_error is not None:
             raise first_error
         return [

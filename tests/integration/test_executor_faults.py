@@ -6,11 +6,13 @@ raise; with ``fail_fast=False`` every spec still comes back as a
 JobResult, the lost ones as *failed* results carrying the error, and a
 failed result is never written to the cache.  Four specs on two
 workers dispatch one job per chunk, so a failure loses only its own
-chunk.
+chunk.  The executor keeps its pool across runs, so after each fault
+the next run on the same executor must succeed and match serial.
 """
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -105,3 +107,53 @@ class TestWorkerKilledMidJob:
         # Exactly the survivors are cached, under their own keys.
         for spec, result in zip(specs, results):
             assert (cache.get(spec) is None) == result.failed
+
+
+def _matches_serial(executor):
+    specs = _specs("crashing_task")[2:] + _specs("killer_task")[2:]
+    assert [r.values for r in executor.run(specs)] == [
+        r.values for r in Executor().run(specs)
+    ]
+
+
+class TestNextRunAfterAFault:
+    def test_after_a_worker_is_killed(self):
+        executor = Executor(workers=2)
+        with pytest.raises(Exception, match="(?i)process"):
+            executor.run(_specs("killer_task"))
+        _matches_serial(executor)
+        executor.close()
+
+    def test_after_a_fail_fast_raise(self):
+        executor = Executor(workers=2)
+        with pytest.raises(JobExecutionError, match="injected task failure"):
+            executor.run(_specs("crashing_task"))
+        _matches_serial(executor)
+        executor.close()
+
+    def test_after_a_callback_raises(self):
+        executor = Executor(workers=2)
+
+        def callback(result):
+            raise OSError("cache write failed")
+
+        with pytest.raises(OSError, match="cache write failed"):
+            executor.run(_specs("crashing_task")[2:] * 3, callback=callback)
+        _matches_serial(executor)
+        executor.close()
+
+    def test_after_an_idle_worker_is_killed(self):
+        executor = Executor(workers=2)
+        _matches_serial(executor)
+        victim = next(iter(executor._pool._processes))
+        os.kill(victim, signal.SIGKILL)
+        # The pool reaps the dead worker once it has seen it die.
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.kill(victim, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        _matches_serial(executor)
+        executor.close()

@@ -106,10 +106,18 @@ class TestProcessPool:
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("workers", [-1, -5, None, 1.5, "2"])
+    @pytest.mark.parametrize("workers", [-1, -5, None, 1.5, "2", True, False])
     def test_rejects_invalid_worker_count(self, workers):
         with pytest.raises(ValidationError, match="workers must be"):
             Executor(workers=workers)
+
+    # False == 0 would autodetect and True == 1 would run serially.
+    @pytest.mark.parametrize("jobs", [True, False])
+    def test_build_engine_rejects_a_bool_job_count(self, jobs):
+        from repro.api import build_engine
+
+        with pytest.raises(ValidationError, match="workers must be"):
+            build_engine(jobs=jobs)
 
     @pytest.mark.parametrize("workers", [1, 2, 7])
     def test_accepts_explicit_worker_count(self, workers):
@@ -145,29 +153,38 @@ class _InlinePool:
 
     Chunks whose submission index is in ``lose`` come back as a
     ``BrokenProcessPool`` future — what a worker dying mid-chunk looks
-    like to the parent.
+    like to the parent.  The worker initializer is recorded, not run:
+    it would change this process's BLAS threads and tracing state.
     """
 
-    def __init__(self, max_workers, lose=()):
+    def __init__(self, max_workers, lose=(), initializer=None, initargs=()):
         self.max_workers = max_workers
         self.lose = set(lose)
+        self.initializer = initializer
+        self.initargs = initargs
         self.submitted = []
+        self.shutdowns = []
+        #: Set to make ``submit`` raise, as it does once a worker of an
+        #: idle pool has died.
+        self.broken = False
         self._processes = {}
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
 
     def submit(self, fn, *args):
+        if self.broken:
+            raise BrokenProcessPool("a worker died while the pool was idle")
         index = len(self.submitted)
         self.submitted.append(list(args[0]))
         future = Future()
         if index in self.lose:
             future.set_exception(BrokenProcessPool(f"chunk {index} lost"))
-        else:
+            return future
+        try:
             future.set_result(fn(*args))
+        except Exception as exc:  # a real pool hands it over the same way
+            future.set_exception(exc)
         return future
 
 
@@ -179,8 +196,8 @@ def inline_pool(monkeypatch):
     pools = []
 
     def install(lose=()):
-        def factory(max_workers):
-            pool = _InlinePool(max_workers, lose)
+        def factory(max_workers, **kwargs):
+            pool = _InlinePool(max_workers, lose, **kwargs)
             pools.append(pool)
             return pool
 
@@ -281,6 +298,222 @@ class TestPoolDispatch:
         assert [r.failed for r in results] == [False, False, False, True]
         assert len(cache) == 3
         assert cache.get(specs[3]) is None
+
+
+_CLOSED = {"wait": True, "cancel_futures": True}
+
+
+class TestPoolLifetime:
+    """One pool per executor: forked lazily, reused, replaced only when
+    a run needs more workers, and shut down on faults and on close."""
+
+    def test_no_pool_until_the_first_pooled_run(self, inline_pool):
+        from repro.api import build_engine
+
+        pools = inline_pool()
+        engine = build_engine(jobs=2)
+        assert pools == []
+        engine.run(_specs(1))
+        assert pools == []
+        engine.run(_specs(4))
+        assert len(pools) == 1
+
+    def test_later_runs_reuse_the_pool(self, inline_pool):
+        import repro.engine.executor as executor_module
+
+        pools = inline_pool()
+        executor = Executor(workers=2)
+        for count in (4, 9, 2):
+            results = executor.run(_specs(count))
+            assert [r.values["square"] for r in results] == [
+                x**2 for x in range(count)
+            ]
+        (pool,) = pools
+        assert pool.shutdowns == []
+        assert pool.initializer is executor_module._init_worker
+
+    def test_pool_is_replaced_only_by_a_larger_one(self, inline_pool):
+        pools = inline_pool()
+        executor = Executor(workers=8)
+        executor.run(_specs(3))
+        executor.run(_specs(2))
+        executor.run(_specs(100))
+        executor.run(_specs(3))
+        assert [pool.max_workers for pool in pools] == [3, 8]
+        assert pools[0].shutdowns == [_CLOSED]
+        assert pools[1].shutdowns == []
+
+    def test_job_failure_keeps_the_pool(self, inline_pool):
+        pools = inline_pool()
+        executor = Executor(workers=2)
+        with pytest.raises(JobExecutionError, match="x=2 is cursed"):
+            executor.run(_specs(4, "sometimes_failing_task"))
+        results = executor.run(_specs(4))
+        assert [r.values["square"] for r in results] == [0, 1, 4, 9]
+        (pool,) = pools
+        assert pool.shutdowns == []
+
+    @pytest.mark.parametrize("fail_fast", [True, False])
+    def test_lost_chunk_drops_the_pool(self, inline_pool, fail_fast):
+        pools = inline_pool(lose={1})
+        executor = Executor(workers=2)
+        try:
+            executor.run(_specs(4), fail_fast=fail_fast)
+        except BrokenProcessPool:
+            assert fail_fast
+        assert pools[0].shutdowns == [_CLOSED]
+        executor.run(_specs(4), fail_fast=False)
+        assert len(pools) == 2
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_exception_from_the_callback_cancels_and_drops_the_pool(
+        self, inline_pool, error
+    ):
+        pools = inline_pool()
+        executor = Executor(workers=2)
+
+        def callback(result):
+            raise error("cache write failed")
+
+        with pytest.raises(error):
+            executor.run(_specs(4), callback=callback)
+        assert pools[0].shutdowns == [_CLOSED]
+        results = executor.run(_specs(4))
+        assert [r.values["square"] for r in results] == [0, 1, 4, 9]
+        assert len(pools) == 2
+
+    def test_pool_broken_while_idle_is_replaced(self, inline_pool):
+        pools = inline_pool()
+        executor = Executor(workers=2)
+        executor.run(_specs(4))
+        pools[0].broken = True
+        results = executor.run(_specs(4))
+        assert [r.values["square"] for r in results] == [0, 1, 4, 9]
+        assert pools[0].shutdowns == [_CLOSED]
+        assert len(pools) == 2 and pools[1].shutdowns == []
+
+    def test_close_is_idempotent_and_the_next_run_forks_again(
+        self, inline_pool
+    ):
+        pools = inline_pool()
+        executor = Executor(workers=2)
+        executor.close()
+        executor.run(_specs(4))
+        executor.close()
+        executor.close()
+        assert pools[0].shutdowns == [_CLOSED]
+        executor.run(_specs(4))
+        assert len(pools) == 2
+
+    def test_engine_close_and_with_block_close_the_executor(
+        self, inline_pool
+    ):
+        pools = inline_pool()
+        engine = Engine(executor=Executor(workers=2))
+        engine.run(_specs(4))
+        engine.close()
+        with Engine(executor=Executor(workers=2)) as scoped:
+            scoped.run(_specs(4))
+        assert [pool.shutdowns for pool in pools] == [[_CLOSED], [_CLOSED]]
+
+    def test_dropped_executor_shuts_its_pool_down(self, inline_pool):
+        pools = inline_pool()
+        executor = Executor(workers=2)
+        executor.run(_specs(4))
+        del executor
+        assert pools[0].shutdowns == [_CLOSED]
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestRealPoolLifetime:
+    def test_workers_serve_every_run_until_close(self):
+        executor = Executor(workers=2)
+        executor.run(_specs(4))
+        workers = set(executor._pool._processes)
+        assert len(workers) == 2
+        for count in (6, 9):
+            results = executor.run(_specs(count, "pid_task"))
+            assert {r.values["pid"] for r in results} <= workers
+        assert set(executor._pool._processes) == workers
+        executor.close()
+        assert not any(_alive(pid) for pid in workers)
+        executor.close()
+        results = executor.run(_specs(4, "pid_task"))
+        assert not {r.values["pid"] for r in results} & workers
+        executor.close()
+
+    def test_with_block_reaps_the_workers(self):
+        with Engine(executor=Executor(workers=2)) as engine:
+            engine.run(_specs(4))
+            workers = set(engine.executor._pool._processes)
+        assert workers and not any(_alive(pid) for pid in workers)
+
+    def test_dropping_the_engine_reaps_the_workers(self):
+        engine = Engine(executor=Executor(workers=2))
+        engine.run(_specs(4))
+        workers = set(engine.executor._pool._processes)
+        del engine
+        assert workers and not any(_alive(pid) for pid in workers)
+
+
+class TestBlasThreads:
+    """Every job runs on one OpenBLAS thread, pooled or in process:
+    OpenBLAS splits some kernels by thread, so the count decides bits."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_openblas(self):
+        from repro.engine.executor import _openblas
+
+        if _openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS is not readable here")
+
+    def _run_span(self, executor, specs):
+        from repro.telemetry import Recorder, trace
+
+        recorder = Recorder()
+        with trace.recording(recorder):
+            Engine(executor=executor).run(specs)
+        [run] = recorder.to_document()["spans"]
+        return run["attrs"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_span_records_one_thread(self, workers):
+        executor = Executor(workers=workers)
+        assert executor.blas_threads is None
+        assert self._run_span(executor, _specs(4))["blas_threads"] == 1
+        executor.close()
+
+    def test_in_process_run_restores_the_parent_count(self):
+        from repro.engine.executor import _blas_threads, _openblas
+
+        get, set_ = _openblas()
+        before = get()
+        set_(2)
+        try:
+            executor = Executor()
+            assert self._run_span(executor, _specs(3))["blas_threads"] == 1
+            assert _blas_threads() == 2
+        finally:
+            set_(before)
+
+    def test_workers_never_raise_the_count(self, monkeypatch):
+        # A limit below the worker count's share, such as perfbench's
+        # OPENBLAS_NUM_THREADS=1, stands: the initializer only lowers.
+        import repro.engine.executor as executor_module
+
+        calls = []
+        monkeypatch.setattr(
+            executor_module, "_openblas", lambda: (lambda: 1, calls.append)
+        )
+        executor_module._init_worker()
+        assert calls == []
 
 
 class TestRealPool:
