@@ -224,9 +224,10 @@ class Executor:
     ``min(workers, chunks)`` workers, and kept for later runs; a run
     that needs more workers than it has replaces it.  :meth:`close`
     reaps the workers, and so does dropping the last reference to the
-    executor or leaving the interpreter.  A pool that breaks (a worker died) or that an
-    exception leaves mid-run (a raising callback, ``KeyboardInterrupt``)
-    is shut down, and the next run forks a fresh one.
+    executor or leaving the interpreter.  A pool that breaks (a worker
+    died) or that an exception leaves mid-run (a raising callback,
+    ``KeyboardInterrupt``) is shut down, and the next run forks a fresh
+    one.
 
     Parameters of :meth:`run`:
 
