@@ -16,11 +16,12 @@ Determinism contract
 Every job's randomness derives solely from its ``(seed_root,
 seed_path)`` seed coordinates — ``default_rng(SeedSequence(seed_root,
 spawn_key=seed_path))`` — which reproduces the historical
-``spawn_generators`` tree exactly, and every job runs with numpy's
-OpenBLAS on one thread, whose count would otherwise decide the last bits
-of some kernels (see :mod:`repro.engine.executor`).  Therefore the
-worker count, chunking, and execution order never change a result bit,
-and a cached payload is interchangeable with a fresh execution.
+``spawn_generators`` tree exactly, and pool workers run their jobs at
+the OpenBLAS thread count of the process that runs the engine, a count
+that decides the last bits of some kernels (see
+:mod:`repro.engine.executor`).  Therefore the worker count, chunking,
+and execution order never change a result bit, and a cached payload is
+interchangeable with a fresh execution.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from types import TracebackType
 from typing import Sequence
 
 from repro.engine.cache import ResultCache, default_cache_dir
-from repro.engine.executor import Executor, default_worker_count
+from repro.engine.executor import (
+    Executor,
+    _blas_threads,
+    default_worker_count,
+)
 from repro.engine.jobs import (
     CACHE_VERSION,
     JobResult,
@@ -160,6 +165,8 @@ class Engine:
                     trace.adopt(result.trace)
                     self.progress.on_result(result, completed, total)
 
+                if trace.enabled():
+                    run_span.set(blas_threads=_blas_threads())
                 fresh = self.executor.run(
                     pending_specs,
                     callback=on_done,
@@ -167,9 +174,7 @@ class Engine:
                 )
                 for (index, _), result in zip(pending, fresh):
                     results[index] = result
-            run_span.set(
-                cached=cached, blas_threads=self.executor.blas_threads
-            )
+            run_span.set(cached=cached)
 
         self.progress.on_finish(
             time.perf_counter() - started, completed, cached

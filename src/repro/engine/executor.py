@@ -9,14 +9,15 @@ The executor owns that pool: it forks it on its first pooled run, keeps
 its workers for later runs and reaps them in :meth:`Executor.close`.
 
 Because every job derives its randomness from ``(seed_root,
-seed_path)`` alone (see :mod:`repro.engine.jobs`), and every job runs
-with numpy's OpenBLAS on one thread, in a worker or in this process,
-the worker count changes only wall-clock time — results are
-bit-identical to the in-process path for any number of workers.  The
-BLAS thread count has to be fixed for that: OpenBLAS splits some
+seed_path)`` alone (see :mod:`repro.engine.jobs`), and every worker
+runs its jobs at the OpenBLAS thread count of the process that
+dispatched them, the worker count changes only wall-clock time —
+results are bit-identical to the in-process path for any number of
+workers.  The thread count has to match for that: OpenBLAS splits some
 kernels (``A @ A.T``, LU) by thread, so their last bits depend on it.
-One thread is the count that keeps workers times BLAS threads within
-the CPUs for any worker count.
+The in-process path leaves the count alone, so a pool of ``N`` workers
+runs up to ``N`` times that many BLAS threads; ``OPENBLAS_NUM_THREADS=1``
+keeps them within the CPUs (see the engine guide).
 
 Failure handling is the same on both paths: with ``fail_fast=True``
 (default) the first failing job raises
@@ -31,7 +32,6 @@ back as failed results.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -43,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.engine.jobs import (
     JobResult,
@@ -89,25 +89,26 @@ def _execute_chunk(
     traced: bool,
     submitted_wall: float,
     fail_fast: bool,
-) -> tuple[int | None, list[JobResult]]:
+    blas_threads: int | None,
+) -> list[JobResult]:
     """Worker-side batch loop (module-level so the pool can pickle it).
 
-    Returns the worker's live BLAS thread count with the chunk's
-    results.  When the parent is tracing, each job runs under a fresh
-    worker-side recorder and its span fragment rides back on the result
-    for adoption into the parent trace.
+    The jobs run at ``blas_threads``, the dispatching process's OpenBLAS
+    thread count.  When the parent is tracing, each job runs under a
+    fresh worker-side recorder and its span fragment rides back on the
+    result for adoption into the parent trace.
     """
+    _set_blas_threads(blas_threads)
     if not traced:
-        results = [execute_job(spec, fail_fast=fail_fast) for spec in specs]
-        return _blas_threads(), results
-    results = []
+        return [execute_job(spec, fail_fast=fail_fast) for spec in specs]
+    results: list[JobResult] = []
     for spec in specs:
         recorder = Recorder()
         with trace.recording(recorder):
             queue_wait = max(0.0, time.time() - submitted_wall)
             result = _run_job(spec, fail_fast, queue_wait)
         results.append(replace(result, trace=recorder.export_fragment()))
-    return _blas_threads(), results
+    return results
 
 
 def default_worker_count() -> int:
@@ -151,40 +152,28 @@ def _blas_threads() -> int | None:
     return None if functions is None else int(functions[0]())
 
 
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the block with numpy's OpenBLAS on one thread, then restore
-    the count it had.  A no-op without a readable OpenBLAS."""
+def _set_blas_threads(count: int | None) -> None:
+    """Set this process's OpenBLAS thread count to ``count``.
+
+    A no-op for ``None`` (the dispatching process could not read its
+    count) and without a readable OpenBLAS.
+    """
     functions = _openblas()
-    if functions is None:
-        yield
+    if count is None or functions is None:
         return
     get, set_ = functions
-    before = int(get())
-    if before > 1:
-        set_(1)
-    try:
-        yield
-    finally:
-        if before > 1:
-            set_(before)
+    if get() != count:
+        set_(count)
 
 
 def _init_worker() -> None:
-    """Pool initializer: start the worker untraced, on one BLAS thread.
+    """Pool initializer: start the worker untraced.
 
-    It lowers numpy's OpenBLAS to one thread, the count the in-process
-    path runs its jobs at (see the module docstring), so that a pool of
-    any size stays within the CPUs.  Without a readable OpenBLAS (see
-    :func:`_openblas`) the count is left alone.
+    A worker forked during a traced run inherits the parent's active
+    recorder and its open stream; a chunk traces only when the parent
+    says so (see :func:`_execute_chunk`), into a recorder of its own.
     """
-    # A worker forked during a traced run inherits the parent's active
-    # recorder and its open stream; a chunk traces only when the parent
-    # says so (see _execute_chunk), into a recorder of its own.
     trace._ACTIVE = None
-    functions = _openblas()
-    if functions is not None and functions[0]() > 1:
-        functions[1](1)
 
 
 def _import_tasks(specs: Sequence[JobSpec]) -> None:
@@ -245,13 +234,6 @@ class Executor:
         (remaining jobs may or may not have run).  ``False``: failures
         come back as failed :class:`~repro.engine.jobs.JobResult`
         objects and the whole grid drains.
-
-    Attributes
-    ----------
-    blas_threads:
-        The live OpenBLAS thread count of the processes that ran the
-        last run's jobs; ``None`` before the first run, or where it
-        cannot be read.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -265,7 +247,6 @@ class Executor:
                 f"got {workers!r}"
             )
         self.workers = workers if workers else default_worker_count()
-        self.blas_threads: int | None = None
         self._pool: _ProcessPool | None = None
         self._pool_size = 0
         # Shuts the pool down when this executor is collected, so a
@@ -309,13 +290,11 @@ class Executor:
         if len(specs) <= 1 or self.workers == 1:
             # Not worth a pool; the in-process path is bit-identical.
             results: list[JobResult] = []
-            with _one_blas_thread():
-                self.blas_threads = _blas_threads()
-                for spec in specs:
-                    result = _run_job(spec, fail_fast, queue_wait=0.0)
-                    if callback is not None:
-                        callback(result)
-                    results.append(result)
+            for spec in specs:
+                result = _run_job(spec, fail_fast, queue_wait=0.0)
+                if callback is not None:
+                    callback(result)
+                results.append(result)
             return results
         chunk = self._chunk_for(len(specs))
         chunks = [specs[i:i + chunk] for i in range(0, len(specs), chunk)]
@@ -323,12 +302,18 @@ class Executor:
         first_error: Exception | None = None
         broken = False
         traced = trace.enabled()
+        blas_threads = _blas_threads()
         size = min(self.workers, len(chunks))
 
         def submit(pool: _ProcessPool) -> dict[Future[Any], int]:
             return {
                 pool.submit(
-                    _execute_chunk, batch, traced, time.time(), fail_fast
+                    _execute_chunk,
+                    batch,
+                    traced,
+                    time.time(),
+                    fail_fast,
+                    blas_threads,
                 ): index
                 for index, batch in enumerate(chunks)
             }
@@ -347,7 +332,7 @@ class Executor:
             for future in as_completed(futures):
                 index = futures[future]
                 try:
-                    self.blas_threads, batch_results = future.result()
+                    batch_results = future.result()
                 except Exception as exc:
                     broken = broken or isinstance(exc, BrokenProcessPool)
                     if fail_fast:

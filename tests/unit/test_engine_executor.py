@@ -33,6 +33,12 @@ def pid_task(params, rng):
     return {"x": params["x"], "pid": os.getpid()}
 
 
+def blas_task(params, rng):
+    from repro.engine.executor import _blas_threads
+
+    return {"x": params["x"], "threads": _blas_threads()}
+
+
 def _specs(count, task="square_task"):
     return [
         JobSpec(f"{_HERE}:{task}", {"x": x}, seed_root=5, seed_path=(x,))
@@ -154,7 +160,7 @@ class _InlinePool:
     Chunks whose submission index is in ``lose`` come back as a
     ``BrokenProcessPool`` future — what a worker dying mid-chunk looks
     like to the parent.  The worker initializer is recorded, not run:
-    it would change this process's BLAS threads and tracing state.
+    it would change this process's tracing state.
     """
 
     def __init__(self, max_workers, lose=(), initializer=None, initargs=()):
@@ -463,57 +469,74 @@ class TestRealPoolLifetime:
         assert workers and not any(_alive(pid) for pid in workers)
 
 
+@pytest.fixture
+def blas_count():
+    """Set this process's OpenBLAS thread count; restored after the test."""
+    from repro.engine.executor import _openblas
+
+    if _openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not readable here")
+    get, set_ = _openblas()
+    before = get()
+    yield set_
+    set_(before)
+
+
 class TestBlasThreads:
-    """Every job runs on one OpenBLAS thread, pooled or in process:
-    OpenBLAS splits some kernels by thread, so the count decides bits."""
+    """Pool workers run at this process's OpenBLAS thread count, and the
+    in-process path leaves the count alone: OpenBLAS splits some kernels
+    by thread, so the count decides bits."""
 
-    @pytest.fixture(autouse=True)
-    def _needs_openblas(self):
-        from repro.engine.executor import _openblas
-
-        if _openblas() is None:
-            pytest.skip("numpy's bundled OpenBLAS is not readable here")
-
-    def _run_span(self, executor, specs):
+    def _run_span(self, engine, specs):
         from repro.telemetry import Recorder, trace
 
         recorder = Recorder()
         with trace.recording(recorder):
-            Engine(executor=executor).run(specs)
+            engine.run(specs)
         [run] = recorder.to_document()["spans"]
         return run["attrs"]
 
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_span_records_one_thread(self, workers):
-        executor = Executor(workers=workers)
-        assert executor.blas_threads is None
-        assert self._run_span(executor, _specs(4))["blas_threads"] == 1
-        executor.close()
+    def test_jobs_run_at_this_process_count(
+        self, blas_count, workers, count
+    ):
+        from repro.engine.executor import _blas_threads
 
-    def test_in_process_run_restores_the_parent_count(self):
-        from repro.engine.executor import _blas_threads, _openblas
+        blas_count(count)
+        with Engine(executor=Executor(workers=workers)) as engine:
+            results = engine.run(_specs(4, "blas_task"))
+        assert {r.values["threads"] for r in results} == {count}
+        assert _blas_threads() == count
 
-        get, set_ = _openblas()
-        before = get()
-        set_(2)
-        try:
-            executor = Executor()
-            assert self._run_span(executor, _specs(3))["blas_threads"] == 1
-            assert _blas_threads() == 2
-        finally:
-            set_(before)
+    def test_a_kept_pool_follows_a_later_count(self, blas_count):
+        blas_count(1)
+        with Engine(executor=Executor(workers=2)) as engine:
+            engine.run(_specs(4, "blas_task"))
+            workers = set(engine.executor._pool._processes)
+            blas_count(2)
+            results = engine.run(_specs(4, "blas_task"))
+            assert set(engine.executor._pool._processes) == workers
+        assert {r.values["threads"] for r in results} == {2}
 
-    def test_workers_never_raise_the_count(self, monkeypatch):
-        # A limit below the worker count's share, such as perfbench's
-        # OPENBLAS_NUM_THREADS=1, stands: the initializer only lowers.
-        import repro.engine.executor as executor_module
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_span_records_the_count(self, blas_count, workers):
+        blas_count(2)
+        with Engine(executor=Executor(workers=workers)) as engine:
+            assert self._run_span(engine, _specs(4))["blas_threads"] == 2
 
-        calls = []
-        monkeypatch.setattr(
-            executor_module, "_openblas", lambda: (lambda: 1, calls.append)
+    def test_fully_cached_run_records_no_count(self, blas_count, tmp_path):
+        from repro.engine import ResultCache
+
+        blas_count(2)
+        engine = Engine(
+            executor=Executor(workers=2), cache=ResultCache(tmp_path)
         )
-        executor_module._init_worker()
-        assert calls == []
+        with engine:
+            assert self._run_span(engine, _specs(4))["blas_threads"] == 2
+            attrs = self._run_span(engine, _specs(4))
+        assert attrs["cached"] == 4
+        assert "blas_threads" not in attrs
 
 
 class TestRealPool:
